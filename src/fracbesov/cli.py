@@ -59,7 +59,7 @@ _KEYS_BY_COMMAND = {
     "norm": _KEYS_COMMON | {"operator", "vector", "variant", "s", "q", "k",
                             "alpha", "beta", "tail_tolerance", "quadrature"},
     "kfun": _KEYS_COMMON | {"operator", "vector", "alpha", "theta", "q", "t_grid"},
-    "verify": _KEYS_COMMON | {"suite", "jobs", "ensemble"},
+    "verify": _KEYS_COMMON | {"suite", "ensemble"},
     "report": _KEYS_COMMON | {"inputs"},
 }
 
@@ -77,7 +77,6 @@ class RunConfig:
     alpha: complex = 1.0
     t_grid: dict = field(default_factory=lambda: {"min": 1e-6, "max": 1e6, "points": 33})
     suite: list = field(default_factory=lambda: list(SUITE_ORDER))
-    jobs: int = 1
     ensemble_count: Optional[int] = None
     seed: int = DEFAULT_SEED
     output_path: Optional[str] = None
@@ -212,7 +211,6 @@ def parse_config(source: str) -> RunConfig:
     elif command == "verify":
         suite = raw.get("suite", "all")
         cfg.suite = _parse_suite(suite)
-        cfg.jobs = int(raw.get("jobs", 1))
         if "ensemble" in raw:
             ens = raw["ensemble"]
             bad = set(ens) - {"count"}
@@ -344,7 +342,7 @@ def _exec_kfun(cfg: RunConfig) -> int:
 
 
 def _exec_verify(cfg: RunConfig) -> int:
-    reports = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
+    reports = run_suite(cfg.suite, seed=cfg.seed,
                         count_override=cfg.ensemble_count)
     payload = reports_payload(reports)
     header = ("check_id", "kind", "verdict", "samples", "ratio_min", "ratio_max",
@@ -407,7 +405,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--format", choices=("json", "csv"), help="output format")
     parser.add_argument("--suite", help="comma-separated check ids, or 'all' "
                                         "(implies the verify command)")
-    parser.add_argument("--jobs", type=int, help="parallel check jobs for verify")
     args = parser.parse_args(argv)
 
     try:
@@ -429,8 +426,6 @@ def main(argv: Optional[list] = None) -> int:
             cfg.output_path = args.out
         if args.format is not None:
             cfg.format = args.format
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

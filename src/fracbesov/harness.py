@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -1267,7 +1266,6 @@ def run_check(
 def run_suite(
     suite: Optional[list[str]] = None,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     tolerance_profile: Optional[ToleranceProfile] = None,
     count_override: Optional[int] = None,
 ) -> list[EquivalenceReport]:
@@ -1275,12 +1273,6 @@ def run_suite(
     for cid in ids:
         if cid not in CHECKS:
             raise KeyError(f"unknown check id {cid!r}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {cid: pool.submit(run_check, cid, None, None,
-                                        tolerance_profile, seed, count_override)
-                       for cid in ids}
-            return [futures[cid].result() for cid in ids]
     return [run_check(cid, None, None, tolerance_profile, seed, count_override)
             for cid in ids]
 

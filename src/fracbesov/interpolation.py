@@ -5,27 +5,42 @@ K(t, x) = inf over x = x0 + x1 of ||x0|| + t ||A^alpha x1||. In euclidean
 geometry the minimizer lies on the one-parameter curve
 y_mu = (I + mu B)^{-1} x with B = (A^alpha)^H (A^alpha): first-order
 stationarity of ||x - y|| + t ||A^alpha y|| forces
-(I + (t ||x-y|| / ||A^alpha y||) B) y = x. The evaluation scans mu on a log
-grid, refines by golden section, and can cross-check the minimizer against
-random perturbations.
+(I + (t ||x-y|| / ||A^alpha y||) B) y = x. With d = ||x - y_mu|| and
+g = ||A^alpha y_mu||, the curve therefore reaches
+
+    t(mu) = mu g / d,        K(t(mu)) = d + mu g^2 / d,
+
+and K is linear outside [t0, t_inf]: K(t) = t ||A^alpha x|| for t <= t0 =
+||A^alpha x|| / ||B x|| (minimizer y = x) and K(t) = ||x|| for
+t >= t_inf = ||(A^alpha)^{-H} x|| / ||x|| (minimizer y = 0).
+
+In the eigenbasis of B (eigenvalues sigma_i, weights w_i = |x_i|^2) put
+a_i = w_i sigma_i / (1 + mu sigma_i)^2 and b_i = a_i / (1 + mu sigma_i). Then
+t(mu)^2 = sum a / sum a sigma and
+
+    d ln t / d ln mu = mu (sum b) sum b_i (sigma_i - sigma_b)^2 / (sum a  sum a sigma),
+
+sigma_b the b-weighted mean of sigma. The right side is >= 0 (zero only when
+x lies in one eigenspace of B, where t0 = t_inf), so t(mu) is monotone: the
+scalar K is one bracketed root solve, and the interpolation integral over t is
+one quadrature over mu with this Jacobian, plus both tails in closed form.
+The sup (q = inf) sits where the elasticity d ln K / d ln t = mu g^2 / (d^2 +
+mu g^2) crosses theta; it can cross several times, so the crossings are
+isolated by a certified bisection in ln mu and compared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .besov import NormResult
 from .fractional import frac_power
 from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme
-
-_SCAN_POINTS = 200
-_SCAN_DECADES = 12
-_GOLDEN_ITERS = 80
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, integrate_multiplicative
 
 
 @dataclass(frozen=True)
@@ -79,28 +94,46 @@ class _CoupleGeometry:
         return self._from(c)
 
 
-def _prepare(couple: CoupleSpec, x: np.ndarray):
-    geo = _CoupleGeometry(couple)
-    c = geo.coords(x)
-    w = np.abs(c) ** 2
-    sig = geo.sigma
+class _Curve:
+    """The minimizer curve of one vector x, on the coordinates where x lives."""
 
-    def dist(mu: np.ndarray) -> np.ndarray:       # ||x - y_mu||
-        r = mu[:, None] * sig[None, :]
-        return np.sqrt(np.clip((w[None, :] * (r / (1.0 + r)) ** 2).sum(axis=1), 0.0, None))
+    def __init__(self, couple: CoupleSpec, x: np.ndarray):
+        self.geo = _CoupleGeometry(couple)
+        self.c = self.geo.coords(x)
+        w = np.abs(self.c) ** 2
+        keep = w > 0
+        self.w, self.sig = w[keep], self.geo.sigma[keep]
+        self.nx = float(np.linalg.norm(x))
+        self.ncx = math.sqrt(float((self.w * self.sig).sum()))     # ||A^alpha x||
+        if np.ptp(self.sig) == 0.0:
+            # x in one eigenspace of B: the curve collapses onto t* = ||x|| / ||A^alpha x||
+            self.t0 = self.t_inf = self.nx / self.ncx
+        else:
+            self.t0 = self.ncx / math.sqrt(float((self.w * self.sig ** 2).sum()))
+            self.t_inf = math.sqrt(float((self.w / self.sig).sum())) / self.nx
 
-    def grad_norm(mu: np.ndarray) -> np.ndarray:  # ||A^alpha y_mu||
-        r = mu[:, None] * sig[None, :]
-        return np.sqrt(np.clip((w[None, :] * sig[None, :] / (1.0 + r) ** 2).sum(axis=1), 0.0, None))
+    def at(self, mu):
+        """t(mu), d = ||x - y_mu||, g = ||A^alpha y_mu|| and d ln t / d ln mu."""
+        mu = np.asarray(mu, dtype=float)
+        one = 1.0 + mu[..., None] * self.sig
+        a = self.w * self.sig / one ** 2
+        b = a / one
+        sa, sas, sb = a.sum(-1), (a * self.sig).sum(-1), b.sum(-1)
+        sig_b = (b * self.sig).sum(-1) / sb
+        spread = (b * (self.sig - sig_b[..., None]) ** 2).sum(-1)
+        return np.sqrt(sa / sas), mu * np.sqrt(sas), np.sqrt(sa), mu * sb * spread / (sa * sas)
 
-    return geo, c, dist, grad_norm
+    def log_profile(self, u: float, theta: float) -> tuple[float, float]:
+        """ln(t^-theta K(t)) at t = t(e^u), and the elasticity d ln K / d ln t."""
+        t, d, g, _ = self.at(math.exp(u))
+        k = d + t * g
+        return float(math.log(k) - theta * math.log(t)), float(t * g / k)
 
 
 def k_functional(
     couple: CoupleSpec,
     t: float,
     x,
-    mu_grid: Optional[np.ndarray] = None,
     validate: bool = False,
     norm: NormKind = EUCLIDEAN,
 ) -> float:
@@ -111,51 +144,29 @@ def k_functional(
     if t <= 0:
         raise ValueError("t must be positive")
     x = as_array(x)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
+    if np.linalg.norm(x) == 0.0:
         return 0.0
-    geo, c, dist, grad_norm = _prepare(couple, x)
-    ncx = float(grad_norm(np.array([0.0]))[0])    # ||A^alpha x||
-
-    if mu_grid is None:
-        center = t * nx / max(ncx, 1e-300)
-        mu_grid = center * np.geomspace(10.0 ** -_SCAN_DECADES, 10.0 ** _SCAN_DECADES,
-                                        _SCAN_POINTS)
-    vals = dist(mu_grid) + t * grad_norm(mu_grid)
-    i = int(np.argmin(vals))
-    lo = mu_grid[max(0, i - 1)]
-    hi = mu_grid[min(len(mu_grid) - 1, i + 1)]
-    best_mu, best = _golden_log(lambda m: float(dist(np.array([m]))[0] + t * grad_norm(np.array([m]))[0]),
-                                lo, hi)
-    k_val = min(best, nx, t * ncx)
+    curve = _Curve(couple, x)
+    nx, ncx = curve.nx, curve.ncx
+    if t <= curve.t0:
+        k_val, y = t * ncx, x
+    elif t >= curve.t_inf:
+        k_val, y = nx, np.zeros_like(x)
+    else:
+        # d ln t / d ln mu <= min(mu max(sigma), 1/(mu min(sigma))): beyond this
+        # bracket t(mu) is within e^-40 of t0 or t_inf, and so is K
+        lo = -math.log(curve.sig.max()) - 40.0
+        hi = -math.log(curve.sig.min()) + 40.0
+        f = lambda u: math.log(float(curve.at(math.exp(u))[0]) / t)
+        u = lo if f(lo) >= 0 else hi if f(hi) <= 0 else brentq(f, lo, hi)
+        mu = math.exp(u)
+        _, d, g, _ = curve.at(mu)
+        k_val = min(float(d + t * g), nx, t * ncx)
+        y = curve.geo.reconstruct(curve.c / (1.0 + mu * curve.geo.sigma))
 
     if validate:
-        y = geo.reconstruct(c / (1.0 + best_mu * geo.sigma))
-        _validate_minimizer(couple, geo, t, x, y, k_val)
+        _validate_minimizer(couple, curve.geo, t, x, y, k_val)
     return float(k_val)
-
-
-def _golden_log(f, lo: float, hi: float) -> tuple[float, float]:
-    if not hi > lo > 0:
-        return lo, f(lo)
-    a, b = math.log(lo), math.log(hi)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    cpt = b - invphi * (b - a)
-    dpt = a + invphi * (b - a)
-    fc, fd = f(math.exp(cpt)), f(math.exp(dpt))
-    for _ in range(_GOLDEN_ITERS):
-        if b - a < 1e-13 * max(1.0, abs(b)):
-            break
-        if fc < fd:
-            b, dpt, fd = dpt, cpt, fc
-            cpt = b - invphi * (b - a)
-            fc = f(math.exp(cpt))
-        else:
-            a, cpt, fc = cpt, dpt, fd
-            dpt = a + invphi * (b - a)
-            fd = f(math.exp(dpt))
-    mu = math.exp(0.5 * (a + b))
-    return mu, f(mu)
 
 
 def _validate_minimizer(couple, geo, t, x, y, k_val, directions: int = 64,
@@ -181,6 +192,44 @@ def _validate_minimizer(couple, geo, t, x, y, k_val, directions: int = 64,
                     f"minimizer failed the perturbation check: {cand} < {k_val}")
 
 
+def _curve_sup(curve: _Curve, theta: float, tol: float) -> tuple[float, float]:
+    """max over mu of L = ln(t^-theta K) on the curve, and a bound on its error.
+
+    The maxima are downward crossings of the elasticity e(u) = d ln K / d ln t
+    through theta (u = ln mu), and there can be several, one per separated
+    cluster of sigma. Since |de/du| <= 1/4 and dL/du = (e - theta) J with
+    0 <= J <= 1, a cell of width w whose ends sit s = |e_a - theta| +
+    |e_b - theta| from theta holds sign excursions at most D = (w/4 - s)/2
+    deep, and L inside it exceeds its ends and its downward root by at most
+    w D. Cells that could still beat the best value by more than tol are halved.
+    """
+    c = (1.0 - theta) / theta
+    # mu sigma_min <= mu / t^2 = 1/e - 1 <= mu sigma_max: e > theta below lo, < theta above hi
+    lo = math.log(0.5 * c / curve.sig.max())
+    hi = math.log(2.0 * c / curve.sig.min())
+    best, slack = -math.inf, 0.0
+    cells = [(lo, hi, *curve.log_profile(lo, theta), *curve.log_profile(hi, theta), None)]
+    while cells:
+        ua, ub, la, ea, lb, eb, root = cells.pop()
+        top = max(la, lb)
+        if root is None and ea > theta > eb:
+            root = brentq(lambda u: curve.log_profile(u, theta)[1] - theta, ua, ub)
+        if root is not None:
+            top = max(top, curve.log_profile(root, theta)[0])
+        best = max(best, top)
+        width = ub - ua
+        gain = width * max(0.0, width / 4.0 - abs(ea - theta) - abs(eb - theta)) / 2.0
+        if top + gain <= best + tol:
+            slack = max(slack, top + gain - best)
+            continue
+        um = 0.5 * (ua + ub)
+        lm, em = curve.log_profile(um, theta)
+        left = root is not None and root <= um
+        cells.append((ua, um, la, ea, lm, em, root if left else None))
+        cells.append((um, ub, lm, em, lb, eb, root if root is not None and not left else None))
+    return best, slack
+
+
 def interpolation_norm(
     couple: CoupleSpec,
     x,
@@ -189,85 +238,43 @@ def interpolation_norm(
 ) -> NormResult:
     """( int_0^inf (t^{-theta} K(t, x))^q dt/t )^{1/q} (sup for q = inf).
 
-    Endpoint tails are exact: K ~ t ||A^alpha x|| as t -> 0 and K -> ||x||
-    as t -> inf, so both remainders integrate in closed form.
+    K(t) = t ||A^alpha x|| below t0 and ||x|| above t_inf, so both tails
+    integrate in closed form; between them t runs along the minimizer curve,
+    and the integral becomes one quadrature over mu with Jacobian
+    d ln t / d ln mu. ``j_lo``/``j_hi`` are floor(log2 t0) and ceil(log2 t_inf).
     """
     if norm.kind != "euclidean":
         raise ValueError("interpolation norms assume the euclidean ambient norm")
     x = as_array(x)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
+    if np.linalg.norm(x) == 0.0:
         return NormResult(0.0, 0.0, 0.0, 0, 0, 0.0)
     theta, q = couple.theta, couple.q
-    geo, c, dist, grad_norm = _prepare(couple, x)
-    ncx = float(grad_norm(np.array([0.0]))[0])
-    sig, w = geo.sigma, np.abs(c) ** 2
+    curve = _Curve(couple, x)
+    nx, ncx, t0, t_inf = curve.nx, curve.ncx, curve.t0, curve.t_inf
+    curved = t0 < t_inf
 
-    mu_scan = np.geomspace(1e-14, 1e14, 400)
-    d_scan = dist(mu_scan)
-    g_scan = grad_norm(mu_scan)
+    if math.isinf(q):
+        value = max(ncx * t0 ** (1.0 - theta), nx * t_inf ** -theta)
+        bound = 0.0
+        if curved:
+            top, slack = _curve_sup(curve, theta, scheme.tail_tolerance)
+            value = max(value, math.exp(top))
+            bound = value * math.expm1(slack)
+    else:
+        tails = (ncx ** q * t0 ** ((1.0 - theta) * q) / ((1.0 - theta) * q)
+                 + nx ** q * t_inf ** (-theta * q) / (theta * q))
+        integral, spill = 0.0, 0.0
+        if curved:
+            def integrand(mu):
+                t, d, g, jac = curve.at(mu)
+                return (t ** -theta * (d + t * g)) ** q * jac
 
-    def k_many(ts: np.ndarray) -> np.ndarray:
-        # scan minimum refined by a golden section vectorized across all t
-        vals = d_scan[None, :] + ts[:, None] * g_scan[None, :]
-        idx = np.argmin(vals, axis=1)
-        lo = np.log(mu_scan[np.maximum(idx - 1, 0)])
-        hi = np.log(mu_scan[np.minimum(idx + 1, len(mu_scan) - 1)])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        cpt = hi - invphi * (hi - lo)
-        dpt = lo + invphi * (hi - lo)
-
-        def f_at(upts):
-            m = np.exp(upts)
-            return dist(m) + ts * grad_norm(m)
-
-        fc, fd = f_at(cpt), f_at(dpt)
-        for _ in range(40):
-            left = fc < fd
-            hi = np.where(left, dpt, hi)
-            lo = np.where(left, lo, cpt)
-            cpt = hi - invphi * (hi - lo)
-            dpt = lo + invphi * (hi - lo)
-            fc, fd = f_at(cpt), f_at(dpt)
-        best = f_at(0.5 * (lo + hi))
-        return np.minimum(best, np.minimum(nx, ts * ncx))
-
-    t_star = nx / max(ncx, 1e-300)
-    u_min = math.log(t_star) - 30.0
-    u_max = math.log(t_star) + 30.0
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    tol = scheme.tail_tolerance
-    for _ in range(30):
-        panels = max(8, int(math.ceil((u_max - u_min) / 0.35)))
-        edges = np.linspace(u_min, u_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        us = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        ws = (half[:, None] * wg[None, :]).ravel()
-        ts = np.exp(us)
-        ks = k_many(ts)
-        profile = np.exp(-theta * us) * ks
-
-        k_lo = k_many(np.exp(np.array([u_min])))[0]
-        k_hi = k_many(np.exp(np.array([u_max])))[0]
-        dev_lo = abs(k_lo / (math.exp(u_min) * ncx) - 1.0)
-        dev_hi = abs(k_hi / nx - 1.0)
-        if math.isinf(q):
-            tail_lo = ncx * math.exp((1.0 - theta) * u_min)
-            tail_hi = nx * math.exp(-theta * u_max)
-            value = max(float(profile.max()), tail_lo, tail_hi)
-            bound = max(tail_lo * dev_lo, tail_hi * dev_hi)
-        else:
-            integral = float(np.dot(ws, profile ** q))
-            tail_lo = (ncx ** q) * math.exp((1.0 - theta) * q * u_min) / ((1.0 - theta) * q)
-            tail_hi = (nx ** q) * math.exp(-theta * q * u_max) / (theta * q)
-            value = (integral + tail_lo + tail_hi) ** (1.0 / q)
-            bound = (integral + tail_lo * (1.0 + 2.0 * dev_lo) ** q
-                     + tail_hi * (1.0 + 2.0 * dev_hi) ** q) ** (1.0 / q) - value
-        if bound <= tol * value:
-            break
-        u_min -= 6.0
-        u_max += 6.0
-    j_lo = int(math.floor(u_min / math.log(2.0)))
-    j_hi = int(math.ceil(u_max / math.log(2.0)))
+            total, diag = integrate_multiplicative(
+                integrand, 1.0 / curve.sig.max(), 1.0 / curve.sig.min(), scheme,
+                decay_lo=1.0, decay_hi=1.0)
+            integral, spill = float(total), diag.tail_bound
+        value = (integral + tails) ** (1.0 / q)
+        bound = (integral + tails + spill) ** (1.0 / q) - value
+    j_lo = int(math.floor(math.log2(t0)))
+    j_hi = int(math.ceil(math.log2(t_inf)))
     return NormResult(float(value), 0.0, float(value), j_lo, j_hi, float(bound))

@@ -114,11 +114,6 @@ def test_determinism_of_payloads():
     assert j1 != j3
 
 
-def test_parallel_equals_serial():
-    ids = ["embed_q", "cos_estimate", "ellq_operator"]
-    assert reports_to_json(run_suite(ids, jobs=3)) == reports_to_json(run_suite(ids))
-
-
 def test_custom_ensemble_override():
     spec = EnsembleSpec("diag_loguniform", {"n": 4, "lam_min": 0.5, "lam_max": 2.0},
                         "gaussian", {}, 10)

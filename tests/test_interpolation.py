@@ -8,6 +8,7 @@ import pytest
 from fracbesov import reference as ref
 from fracbesov.interpolation import CoupleSpec, interpolation_norm, k_functional
 from fracbesov.operators import NormKind, OperatorHandle
+from fracbesov.quadrature import DEFAULT_SCHEME
 
 DIAG14 = OperatorHandle.diagonal([1.0, 4.0])
 ONES2 = np.array([1.0, 1.0], dtype=complex)
@@ -129,3 +130,90 @@ def test_dense_couple_route():
         y = np.linalg.solve(np.eye(2) + mu * b, x)
         best = min(best, np.linalg.norm(x - y) + 0.7 * np.linalg.norm(m @ y))
     assert got == pytest.approx(best, rel=1e-6)
+
+
+# Regression inputs on log-uniform spectra (diagonal n = 6). MOTIVATION is
+# eig ~ exp(U(ln 1e-2, ln 1e3)) + 0.05 and x ~ N + iN from default_rng(5),
+# twelfth draw; the sup case is the twenty-third draw of default_rng(7)
+# without the shift.
+MOTIVATION_EIG = [0.14270010791743307, 0.46612797041405013, 0.07910019124046623,
+                  475.24456343327086, 0.7193757741646621, 0.12571612259103412]
+MOTIVATION_X = [1.5099831293121058e-05 - 0.18758970531896946j,
+                1.1888306785373703 + 1.7694502363979239j,
+                -1.014468137602427 + 1.720484746826155j,
+                0.6666833259020761 + 0.8555220049018919j,
+                0.7952990996016167 + 0.33194635951240653j,
+                -0.6993883083236738 + 1.1383096209632015j]
+SUP_EIG = [70.12268055168387, 0.021211664811880897, 43.57228415666527,
+           0.0119443462571378, 619.0848054056373, 2.2046974637410095]
+SUP_X = [0.16384119233310074 + 0.3372378158484627j, -1.67135248657008 - 1.0439509249842558j,
+         -0.382867148766769 - 0.5015972714256735j, 0.9837549084000277 - 0.4590656767054133j,
+         -1.2517438155744967 - 0.04951933794250218j, 1.072227544934612 - 0.5361439659430923j]
+
+
+def _curve_ends(eig, x, alpha):
+    """||x||, ||A^a x|| and the ends t0 = ||A^a x||/||B x||, t_inf = ||A^-a x||/||x||."""
+    sig = np.asarray(eig) ** (2.0 * alpha)
+    w = np.abs(np.asarray(x)) ** 2
+    nx, ncx = math.sqrt(w.sum()), math.sqrt((w * sig).sum())
+    return nx, ncx, ncx / math.sqrt((w * sig ** 2).sum()), math.sqrt((w / sig).sum()) / nx
+
+
+@pytest.mark.parametrize("eig, x, alpha, theta, q", [
+    (MOTIVATION_EIG, MOTIVATION_X, 1.4, 0.6, 2.0),
+    (SUP_EIG, SUP_X, 1.4, 0.3, math.inf),
+    # sigma twelve decades apart: t^-theta K has local maxima 0.63 near
+    # t = 1e-6 and 1.00007 near t = 1, and only the second is the sup
+    ([1.0, 1e6], [1.0, 1e-2], 1.0, 0.3, math.inf),
+])
+def test_interpolation_norm_against_scalar_k(eig, x, alpha, theta, q):
+    from scipy import integrate, optimize
+    x = np.array(x, dtype=complex)
+    c = CoupleSpec(OperatorHandle.diagonal(eig), alpha, theta, q)
+    res = interpolation_norm(c, x)
+    nx, ncx, t0, t_inf = _curve_ends(eig, x, alpha)
+    assert (res.j_lo, res.j_hi) == (math.floor(math.log2(t0)), math.ceil(math.log2(t_inf)))
+    assert res.tail_bound <= DEFAULT_SCHEME.tail_tolerance * res.value
+
+    def profile(u):
+        return math.exp(-theta * u) * k_functional(c, math.exp(u), x)
+
+    if math.isinf(q):
+        # global maximum: best point of a fine ln t grid, refined inside its cell
+        us = np.linspace(math.log(t0), math.log(t_inf), 801)
+        k = int(np.argmax([profile(u) for u in us]))
+        best = optimize.minimize_scalar(
+            lambda u: -profile(u), bounds=(us[max(k - 1, 0)], us[min(k + 1, 800)]),
+            method="bounded", options={"xatol": 1e-12})
+        assert res.value == pytest.approx(-best.fun, rel=1e-10)
+    else:
+        core, _ = integrate.quad(lambda u: profile(u) ** q, math.log(t0), math.log(t_inf),
+                                 epsabs=0.0, epsrel=1e-13, limit=400)
+        tails = (ncx ** q * t0 ** ((1 - theta) * q) / ((1 - theta) * q)
+                 + nx ** q * t_inf ** (-theta * q) / (theta * q))
+        assert res.value == pytest.approx((core + tails) ** (1.0 / q), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("route", ["diagonal", "dense"])
+def test_interpolation_norm_on_an_eigenvector(route, q):
+    # x in one eigenspace of B: t0 = t_inf = t* and K(t) = min(t ||A^a x||, ||x||)
+    theta = 0.4
+    if route == "diagonal":
+        h, alpha = OperatorHandle.diagonal([1.0, 4.0, 9.0]), 0.7
+        x = np.array([0.0, 3.0 - 1.0j, 0.0])
+        ax = np.array([0.0, 4.0 ** 0.7, 0.0]) * x
+    else:
+        m = np.array([[2.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 3.0]])
+        h, alpha = OperatorHandle.dense(m), 1.0
+        x = np.linalg.eigh(m.T @ m)[1][:, 1].astype(complex)   # carries rounding noise
+        ax = m @ x
+    nx, ncx = np.linalg.norm(x), np.linalg.norm(ax)
+    t_star = nx / ncx
+    if math.isinf(q):
+        want = ncx ** theta * nx ** (1 - theta)
+    else:
+        want = (ncx ** q * t_star ** ((1 - theta) * q) / ((1 - theta) * q)
+                + nx ** q * t_star ** (-theta * q) / (theta * q)) ** (1.0 / q)
+    got = interpolation_norm(CoupleSpec(h, alpha, theta, q), x).value
+    assert got == pytest.approx(want, rel=1e-12)
