@@ -32,7 +32,7 @@ from .fractional import (
     power_apply,
 )
 from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array, vector_norm
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, golden_section_max
 
 _J_CAP = 64
 _EXTEND_STEP = 8
@@ -421,7 +421,7 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
             i_star = int(np.argmax(gs))
             lo_b = us[i_star - 1] if i_star > 0 else u_min
             hi_b = us[i_star + 1] if i_star + 1 < len(us) else u_max
-            _, g_star = _refine_peak(g_many, lo_b, hi_b)
+            _, g_star = golden_section_max(lambda u: g_many(np.array([u]))[0], lo_b, hi_b)
             g_star = max(g_star, float(g_many(np.array([u_min]))[0]))
             tail_sup = model_end
             ssum = max(g_star, tail_sup)
@@ -444,28 +444,3 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
         raise TailError("continuous-norm tail not certified")
     j_hi = int(math.ceil(u_max / math.log(2.0)))
     return NormResult(lead + ssum, lead, ssum, idx.k, j_hi, tail_bound, None)
-
-
-def _refine_peak(g_many, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section refinement of the profile maximum on [lo, hi]."""
-    if hi <= lo:
-        return float(lo), float(g_many(np.array([lo]))[0])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_pt, b_pt = lo, hi
-    c_pt = b_pt - invphi * (b_pt - a_pt)
-    d_pt = a_pt + invphi * (b_pt - a_pt)
-    fc = -g_many(np.array([c_pt]))[0]
-    fd = -g_many(np.array([d_pt]))[0]
-    for _ in range(60):
-        if b_pt - a_pt < 1e-12 * max(1.0, abs(a_pt)):
-            break
-        if fc < fd:
-            b_pt, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b_pt - invphi * (b_pt - a_pt)
-            fc = -g_many(np.array([c_pt]))[0]
-        else:
-            a_pt, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a_pt + invphi * (b_pt - a_pt)
-            fd = -g_many(np.array([d_pt]))[0]
-    u_best = 0.5 * (a_pt + b_pt)
-    return float(u_best), float(g_many(np.array([u_best]))[0])

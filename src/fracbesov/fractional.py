@@ -112,23 +112,42 @@ def _representation_order(alpha: complex) -> int:
 def _log_multiplier_rows(sdata, lams: np.ndarray, pre: complex, beta: complex,
                          gamma_exp: complex, coeff: np.ndarray) -> np.ndarray:
     """Rows lam_i^pre * mu_j^beta * (lam_i + mu_j)^{-gamma} * coeff_j, combined
-    in log space so wide quadrature windows cannot overflow."""
+    in log space so wide quadrature windows cannot overflow. ``coeff`` is one
+    coefficient vector (rows (len(lams), n)) or a block (k, n) (rows
+    (len(lams), k, n))."""
     pre, beta, gamma_exp = complex(pre), complex(beta), complex(gamma_exp)
     eigs = sdata.eigenvalues
-    lu = np.log(lams)[:, None]
-    out = np.zeros((len(lams), len(eigs)), dtype=complex)
+    lu = np.log(lams).reshape((-1,) + (1,) * coeff.ndim)
+    out = np.zeros((len(lams),) + coeff.shape, dtype=complex)
     pos = eigs > 0
     if np.any(pos):
-        lm = np.log(eigs[pos])[None, :]
+        lm = np.log(eigs[pos])
         lsum = np.logaddexp(lu, lm)
-        out[:, pos] = np.exp(pre * lu + beta * lm - gamma_exp * lsum) * coeff[None, pos]
+        out[..., pos] = np.exp(pre * lu + beta * lm - gamma_exp * lsum) * coeff[..., pos]
     if np.any(~pos):
         if beta == 0:
-            out[:, ~pos] = np.exp((pre - gamma_exp) * lu) * coeff[None, ~pos]
+            out[..., ~pos] = np.exp((pre - gamma_exp) * lu) * coeff[..., ~pos]
         elif beta.real <= 0:
             raise ValueError("zero eigenvalue needs Re beta > 0 or beta = 0")
         # Re beta > 0: the zero modes contribute nothing
     return sdata.from_coeff(out)
+
+
+def _power_integrand(compose, a: complex, n: int, x: np.ndarray):
+    """Integrand l^a [compose(l)]^n x of the real-integral representation,
+    where compose(lams, rows) maps row_i -> B (lam_i + B)^{-1} row_i. ``x`` is
+    one vector (values (nodes, n)) or a block (k, n) (values (nodes, k, n));
+    a block is repeated over the nodes so each power is one compose call."""
+    k = 1 if x.ndim == 1 else x.shape[0]
+
+    def integrand(lams: np.ndarray) -> np.ndarray:
+        node_lams = np.repeat(lams, k)
+        rows = np.tile(x, (len(lams), 1))
+        for _ in range(n):
+            rows = compose(node_lams, rows)
+        weights = _cpow(lams, a).reshape((-1,) + (1,) * x.ndim)
+        return weights * rows.reshape((len(lams),) + x.shape)
+    return integrand
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +161,8 @@ def frac_power(
     scheme: QuadratureScheme = DEFAULT_SCHEME,
     with_diagnostics: bool = False,
 ):
-    """A^alpha x by the real-integral representation, Re alpha > 0.
+    """A^alpha x by the real-integral representation, Re alpha > 0; ``x`` is
+    a vector (n,) or a block (k, n) of row vectors.
 
     Real-integer alpha falls through to repeated application (the Gamma
     prefactor degenerates there); integer real part with nonzero imaginary
@@ -172,11 +192,7 @@ def frac_power(
         def integrand(lams: np.ndarray) -> np.ndarray:
             return _log_multiplier_rows(s, lams, a, n, n, coeff)
     else:
-        def integrand(lams: np.ndarray) -> np.ndarray:
-            rows = np.tile(x, (len(lams), 1))
-            for _ in range(n):
-                rows = handle.l_compose_batch(lams, rows)
-            return _cpow(lams, a)[:, None] * rows
+        integrand = _power_integrand(handle.l_compose_batch, a, n, x)
 
     val, diag = integrate_multiplicative(integrand, lo, hi, scheme,
                                          decay_lo=a.real, decay_hi=n - a.real)
@@ -245,24 +261,25 @@ def _bounded_compose_M(handle, lam):
 def _bounded_frac_apply(compose, a: complex, x: np.ndarray, scale_hi: float,
                         scheme: QuadratureScheme) -> np.ndarray:
     """B^a x for a bounded non-negative part B given through mu -> B(mu+B)^{-1},
-    0 < Re a < 1."""
+    0 < Re a < 1; ``x`` is a vector or a block of row vectors."""
     n = _representation_order(a)
     pref = balakrishnan_prefactor(a, n)
-
-    def integrand(mus):
-        rows = np.tile(x, (len(mus), 1))
-        for _ in range(n):
-            rows = compose(mus, rows)
-        return _cpow(mus, a)[:, None] * rows
-
-    val, _ = integrate_multiplicative(integrand, min(scale_hi, 1.0), max(scale_hi, 1.0),
+    val, _ = integrate_multiplicative(_power_integrand(compose, a, n, x),
+                                      min(scale_hi, 1.0), max(scale_hi, 1.0),
                                       scheme, decay_lo=a.real, decay_hi=n - a.real)
     return pref * val
 
 
+def _at_one_lam(batch, lam: float, y: np.ndarray) -> np.ndarray:
+    """batch(lams, rows) at a single lam, for a vector or a block of rows."""
+    rows = y.reshape(-1, y.shape[-1])
+    return batch(np.full(len(rows), float(lam)), rows).reshape(y.shape)
+
+
 def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam: float, x,
               scheme: QuadratureScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """A^beta (lam + A)^{-gamma} x with 0 <= Re beta <= Re gamma, lam > 0."""
+    """A^beta (lam + A)^{-gamma} x with 0 <= Re beta <= Re gamma, lam > 0;
+    ``x`` is a vector (n,) or a block (k, n) of row vectors."""
     b = _as_complex(beta)
     g = _as_complex(gamma_exp)
     x = as_array(x)
@@ -280,7 +297,7 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam: float, x,
     d_int = int(math.floor(d.real))
     d_rem = d - d_int
     for _ in range(d_int):
-        y = handle.resolvent(lam, y)
+        y = _at_one_lam(handle.resolvent_batch, lam, y)
     if d_rem != 0:
         y = _bounded_frac_apply(_bounded_compose_M(handle, lam), d_rem, y,
                                 1.0, inner) * lam ** (-complex(d_rem))
@@ -288,7 +305,7 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam: float, x,
     b_int = int(math.floor(b.real))
     b_rem = b - b_int
     for _ in range(b_int):
-        y = handle.l_compose_batch(np.array([lam]), y[None, :])[0]
+        y = _at_one_lam(handle.l_compose_batch, lam, y)
     if b_rem != 0:
         y = _bounded_frac_apply(_bounded_compose_L(handle, lam), b_rem, y,
                                 hi / (lam + hi), inner)

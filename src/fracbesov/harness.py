@@ -901,19 +901,17 @@ def _composite_norm(handle, a: complex, lam: float, kind: str, shift: float = 0.
             vals = ((shift + mu) / (lam + mu)) ** a.real
         return float(np.abs(vals).max())
     from .fractional import phi_apply, power_apply
-    n = handle.dim
-    basis = np.eye(n, dtype=complex)
-    cols = []
-    for kcol in range(n):
-        if kind == "M":
-            cols.append(lam ** a * phi_apply(handle, 0.0, a, lam, basis[kcol]))
-        elif kind == "L":
-            cols.append(phi_apply(handle, a, a, lam, basis[kcol]))
-        else:
-            base_col = phi_apply(handle, 0.0, a, lam, basis[kcol])
-            cols.append(power_apply(OperatorHandle.shifted(handle, shift), a, base_col))
-    mat = np.stack(cols, axis=1)
-    return float(np.linalg.norm(mat, 2))
+    # one block evaluation on the basis: its rows are the images of the basis
+    # vectors, the transpose of the matrix, which has the same 2-norm
+    basis = np.eye(handle.dim, dtype=complex)
+    if kind == "M":
+        rows = lam ** a * phi_apply(handle, 0.0, a, lam, basis)
+    elif kind == "L":
+        rows = phi_apply(handle, a, a, lam, basis)
+    else:
+        rows = power_apply(OperatorHandle.shifted(handle, shift), a,
+                           phi_apply(handle, 0.0, a, lam, basis))
+    return float(np.linalg.norm(rows, 2))
 
 
 def _run_moment(samples, backend, tol):

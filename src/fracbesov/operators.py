@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import linalg as _scipy_linalg
+
+from .quadrature import golden_section_max
 
 _INJECTIVITY_RTOL = 1e-10
-_POWER_ITERS = 50
-_POWER_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +132,8 @@ class OperatorHandle:
         self.param = param
         self._constants_cache: dict = {}
         self._scale_cache: Optional[tuple[float, float]] = None
+        self._singular_values: Optional[np.ndarray] = None
+        self._schur_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ---- constructors ----
 
@@ -272,7 +275,10 @@ class OperatorHandle:
         return self.resolvent_batch(lams, np.tile(x, (len(lams), 1)))
 
     def resolvent_batch(self, lams: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Per-row shifted solves: row_i -> (lam_i + A)^{-1} row_i."""
+        """Per-row shifted solves: row_i -> (lam_i + A)^{-1} row_i.
+
+        Multipliers for spectral kinds; otherwise one back-substitution over
+        the batch on the cached Schur factor (see :meth:`_schur`)."""
         lams = np.asarray(lams, dtype=float)
         rows = np.asarray(rows, dtype=complex)
         if rows.shape != (len(lams), self.dim):
@@ -288,23 +294,29 @@ class OperatorHandle:
         if self.kind == "shifted":
             return self.base.resolvent_batch(lams + self.param, rows)
         if self.kind == "inverse":
-            inner = self.base.resolvent_batch(1.0 / lams, rows)
-            return (rows - inner / lams[:, None]) / lams[:, None]
-        m = self.matrix()
-        out = np.empty_like(rows)
-        eye = np.eye(self.dim)
-        chunk = max(1, (1 << 22) // (self.dim * self.dim))
-        for i0 in range(0, len(lams), chunk):
-            ls = lams[i0:i0 + chunk]
-            stack = ls[:, None, None] * eye[None, :, :] + m[None, :, :]
-            try:
-                out[i0:i0 + chunk] = np.linalg.solve(stack, rows[i0:i0 + chunk, :, None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularResolventError(
-                    "shifted solve failed: operator not non-negative?") from exc
-        return out
+            # (lam + A^{-1})^{-1} = lam^{-1} A (lam^{-1} + A)^{-1}, free of cancellation
+            return self.base.l_compose_batch(1.0 / lams, rows) / lams[:, None]
+        z, t = self._schur()
+        pivots = lams[:, None] + np.diag(t)[None, :]
+        if np.any(pivots == 0):
+            raise SingularResolventError("shifted solve failed: operator not non-negative?")
+        # (lam + A)^{-1} = Z (lam + T)^{-1} Z^H: back-substitution on the
+        # shifted triangular factor, all rows at once
+        c = rows @ z.conj()
+        w = np.empty_like(c)
+        for j in range(self.dim - 1, -1, -1):
+            w[:, j] = (c[:, j] - w[:, j + 1:] @ t[j, j + 1:]) / pivots[:, j]
+        return w @ z.T
 
     # ---- derived data ----
+
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur factors (Z, T) of the matrix, A = Z T Z^H with Z
+        unitary and T upper triangular; computed once per handle."""
+        if self._schur_cache is None:
+            t, z = _scipy_linalg.schur(self.matrix(), output="complex")
+            self._schur_cache = (z, t)
+        return self._schur_cache
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -322,42 +334,41 @@ class OperatorHandle:
             return np.linalg.inv(self.base.matrix())
         if self.kind == "frac_power":
             from .fractional import frac_power  # local import: fractional builds on this module
-            basis = np.eye(self.dim, dtype=complex)
-            cols = [frac_power(self.base, self.param, basis[i]) for i in range(self.dim)]
-            return np.stack(cols, axis=1)
+            # rows of the result are the images of the basis vectors
+            return frac_power(self.base, self.param, np.eye(self.dim, dtype=complex)).T
         raise RuntimeError(f"no materialization path for kind {self.kind!r}")
+
+    def _spectral_magnitudes(self) -> np.ndarray:
+        """|eigenvalues| for spectral kinds, singular values (computed once) otherwise."""
+        if self.spectral is not None:
+            return np.abs(self.spectral.eigenvalues)
+        if self._singular_values is None:
+            self._singular_values = np.linalg.svd(self.matrix(), compute_uv=False)
+        return self._singular_values
 
     def scales(self) -> tuple[float, float]:
         """(smallest nonzero spectral scale, largest spectral scale) estimates."""
         if self._scale_cache is None:
-            s = self.spectral
-            if s is not None:
-                eig = np.abs(s.eigenvalues)
-                hi = float(eig.max()) or 1.0
-                nz = eig[eig > _INJECTIVITY_RTOL * hi]
-                lo = float(nz.min()) if nz.size else hi
-            else:
-                sv = np.linalg.svd(self.matrix(), compute_uv=False)
-                hi = float(sv.max()) or 1.0
-                nz = sv[sv > _INJECTIVITY_RTOL * hi]
-                lo = float(nz.min()) if nz.size else hi
+            mags = self._spectral_magnitudes()
+            hi = float(mags.max()) or 1.0
+            nz = mags[mags > _INJECTIVITY_RTOL * hi]
+            lo = float(nz.min()) if nz.size else hi
             self._scale_cache = (lo, hi)
         return self._scale_cache
 
     def injective(self) -> bool:
-        s = self.spectral
-        if s is not None:
-            eig = np.abs(s.eigenvalues)
-            return bool(eig.min() > _INJECTIVITY_RTOL * max(eig.max(), 1e-300))
-        sv = np.linalg.svd(self.matrix(), compute_uv=False)
-        return bool(sv.min() > _INJECTIVITY_RTOL * max(sv.max(), 1e-300))
+        mags = self._spectral_magnitudes()
+        return bool(mags.min() > _INJECTIVITY_RTOL * max(mags.max(), 1e-300))
 
     def is_self_adjoint_spectral(self) -> bool:
         return self.spectral is not None and self.spectral.orthonormal and self.spectral.self_adjoint
 
     def constants(self, norm: NormKind = EUCLIDEAN) -> tuple[float, float]:
-        """(M_A, L_A), exact for self-adjoint spectral kinds, estimated otherwise."""
-        key = (norm.kind, norm.p)
+        """(M_A, L_A): (1, 1) for self-adjoint spectral kinds in the euclidean
+        norm; otherwise the largest exact induced norms of lam (lam+A)^{-1} and
+        A (lam+A)^{-1} over :func:`default_lambda_grid` (the sup between grid
+        points is not searched; see ``estimate_nonnegativity_constants``)."""
+        key = (norm.kind, norm.p, None if norm.weights is None else norm.weights.tobytes())
         if key not in self._constants_cache:
             if self.is_self_adjoint_spectral() and norm.kind == "euclidean" \
                     and np.all(self.spectral.eigenvalues >= 0):
@@ -382,35 +393,33 @@ class OperatorHandle:
 # non-negativity constants
 # --------------------------------------------------------------------------
 
-def _induced_norm(matrix: np.ndarray, norm: NormKind) -> float:
-    """Induced operator norm: power iteration for euclidean, exact sums for p in {1, inf}."""
+def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
+    """Exact induced norms of a stack (..., n, n): the largest singular value
+    for euclidean and weighted norms, column/row sums for p in {1, inf}."""
     if norm.kind == "euclidean" or norm.kind == "weighted":
-        m = matrix
         if norm.kind == "weighted":
             d = np.sqrt(norm.weights)
-            m = (d[:, None] * matrix) / d[None, :]
-        n = m.shape[0]
-        v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
-        v /= np.linalg.norm(v)
-        mh = m.conj().T
-        sigma = 0.0
-        for _ in range(_POWER_ITERS):
-            w = mh @ (m @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            new_sigma = math.sqrt(nw)
-            v = w / nw
-            if abs(new_sigma - sigma) <= _POWER_TOL * max(new_sigma, 1e-300):
-                sigma = new_sigma
-                break
-            sigma = new_sigma
-        return float(sigma)
+            mats = (d[:, None] * mats) / d[None, :]
+        return np.linalg.norm(mats, 2, axis=(-2, -1))
     if norm.p == 1:
-        return float(np.abs(matrix).sum(axis=0).max())
+        return np.abs(mats).sum(axis=-2).max(axis=-1)
     if math.isinf(norm.p):
-        return float(np.abs(matrix).sum(axis=1).max())
-    raise NotImplementedError("induced norm estimation supports euclidean and p in {1, inf}")
+        return np.abs(mats).sum(axis=-1).max(axis=-1)
+    raise NotImplementedError("induced norms support euclidean, weighted and p in {1, inf}")
+
+
+def _resolvent_norms(handle: OperatorHandle, lams: np.ndarray,
+                     norm: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ||lam (lam+A)^{-1}|| and ||A (lam+A)^{-1}|| for every lam, from
+    one batched shifted solve of the basis vectors."""
+    n = handle.dim
+    basis = np.tile(np.eye(n, dtype=complex), (len(lams), 1))
+    res = handle.resolvent_batch(np.repeat(lams, n), basis)
+    a_res = handle.apply(res)
+    # rows of each (n, n) block are images of basis vectors: transpose to matrices
+    res = res.reshape(len(lams), n, n).transpose(0, 2, 1)
+    a_res = a_res.reshape(len(lams), n, n).transpose(0, 2, 1)
+    return lams * _induced_norms(res, norm), _induced_norms(a_res, norm)
 
 
 @dataclass
@@ -435,32 +444,26 @@ def estimate_nonnegativity_constants(
 ) -> ConstantsEstimate:
     """Grid estimates of M_A and L_A over log-spaced lambda.
 
-    Divergence (values still growing at the grid endpoints) signals that the
-    operator is not non-negative; it is reported via the ``diverging`` flag,
-    never clamped. ``refine=True`` sharpens the grid maxima by golden-section
-    around the peak.
+    The induced norms are exact at every grid point: one batched shifted
+    solve over the whole grid, then SVD (euclidean, weighted) or column/row
+    sums (p in {1, inf}). Divergence (values still growing at the grid
+    endpoints) signals that the operator is not non-negative; it is reported
+    via the ``diverging`` flag, never clamped. ``refine=True`` sharpens the
+    grid maxima by golden-section around the peak.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid(handle)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    a = handle.matrix()
-    eye = np.eye(handle.dim)
-
-    def at(lam: float) -> tuple[float, float]:
-        res = np.linalg.solve(lam * eye + a, eye)
-        return _induced_norm(lam * res, norm), _induced_norm(a @ res, norm)
-
-    m_vals = np.empty(len(lam_grid))
-    l_vals = np.empty(len(lam_grid))
-    for i, lam in enumerate(lam_grid):
-        m_vals[i], l_vals[i] = at(lam)
+    m_vals, l_vals = _resolvent_norms(handle, lam_grid, norm)
     i_m = int(np.argmax(m_vals))
     i_l = int(np.argmax(l_vals))
     m_best, lam_m = float(m_vals[i_m]), float(lam_grid[i_m])
     l_best, lam_l = float(l_vals[i_l]), float(lam_grid[i_l])
     if refine:
-        m_best, lam_m = _refine_grid_peak(lambda lam: at(lam)[0], lam_grid, i_m)
-        l_best, lam_l = _refine_grid_peak(lambda lam: at(lam)[1], lam_grid, i_l)
+        def at(u: float) -> tuple[np.ndarray, np.ndarray]:
+            return _resolvent_norms(handle, np.array([math.exp(u)]), norm)
+        m_best, lam_m = _refine_grid_peak(lambda u: float(at(u)[0][0]), lam_grid, i_m, m_best)
+        l_best, lam_l = _refine_grid_peak(lambda u: float(at(u)[1][0]), lam_grid, i_l, l_best)
     # boundary limits the grid cannot attain: lam (lam+A)^{-1} -> I as
     # lam -> inf, and A (lam+A)^{-1} -> I as lam -> 0 for injective A
     m_best = max(m_best, 1.0)
@@ -471,28 +474,12 @@ def estimate_nonnegativity_constants(
     return ConstantsEstimate(m_best, l_best, bool(edge), lam_m, lam_l)
 
 
-def _refine_grid_peak(f, grid: np.ndarray, i: int) -> tuple[float, float]:
-    lo = math.log(grid[max(0, i - 1)])
-    hi = math.log(grid[min(len(grid) - 1, i + 1)])
-    if hi <= lo:
-        return f(grid[i]), float(grid[i])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(60):
-        if hi - lo < 1e-12:
-            break
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(math.exp(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(math.exp(d))
-    lam = math.exp(0.5 * (lo + hi))
-    return max(f(lam), fc, fd), lam
+def _refine_grid_peak(f, grid: np.ndarray, i: int, best: float) -> tuple[float, float]:
+    """Golden section of f(ln lam) over the grid cells next to the peak grid[i];
+    the grid value ``best`` stands unless a probe beats it."""
+    u, val = golden_section_max(f, math.log(grid[max(0, i - 1)]),
+                                math.log(grid[min(len(grid) - 1, i + 1)]))
+    return (val, math.exp(u)) if val > best else (best, float(grid[i]))
 
 
 # --------------------------------------------------------------------------

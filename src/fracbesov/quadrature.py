@@ -12,6 +12,7 @@ certify raises instead of returning a silently truncated value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -198,3 +199,32 @@ def integrate_multiplicative(
 
 def scheme_with(scheme: QuadratureScheme, **kwargs) -> QuadratureScheme:
     return replace(scheme, **kwargs)
+
+
+def golden_section_max(f: Callable[[float], float], lo: float,
+                       hi: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi].
+
+    Stops after 60 steps or once the bracket is narrower than
+    ``1e-12 * max(1, |lo|)``; returns the midpoint of the final bracket and
+    f there.
+    """
+    if hi <= lo:
+        return float(lo), float(f(lo))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if hi - lo < 1e-12 * max(1.0, abs(lo)):
+            break
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    mid = 0.5 * (lo + hi)
+    return float(mid), float(f(mid))

@@ -185,6 +185,25 @@ def test_phi_apply_matches_scipy():
     assert np.abs(got - want).max() <= 1e-7
 
 
+def test_phi_apply_and_frac_power_on_a_block():
+    from scipy.linalg import fractional_matrix_power as fmp
+    rng = np.random.default_rng(31)
+    m = np.diag([0.4, 1.0, 3.0]) + 0.8 * np.triu(rng.normal(size=(3, 3)), 1)
+    block = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    lam = 0.9
+    for h in (OperatorHandle.dense(m), _spd(rng, 3)):
+        a = h.matrix()
+        got = phi_apply(h, 0.6, 1.3, lam, block)
+        want = block @ (fmp(a, 0.6) @ fmp(lam * np.eye(3) + a, -1.3)).T
+        assert got.shape == block.shape
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+        for row, g in zip(block, got):
+            assert np.abs(phi_apply(h, 0.6, 1.3, lam, row) - g).max() <= 1e-9 * np.abs(g).max()
+        got = frac_power(h, 0.7, block)
+        want = block @ fmp(a, 0.7).T
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
 def test_power_apply_routes():
     x = np.array([1.0, 1.0], dtype=complex)
     assert np.allclose(power_apply(DIAG14, 0.0, x), x)

@@ -84,6 +84,13 @@ def test_single_checks_pass():
         assert rep.violations == 0
 
 
+def test_uniform_bounds_at_seed_14():
+    # the second non-normal sample has L_A = 1.00111; an estimate of L_A at its
+    # floor 1.0 puts ||A^a (lam+A)^{-a}|| above C_{a,n} L_A^n near lam = 2e-3
+    report = run_check("uniform_bounds", seed=14, count_override=6)
+    assert report.verdict == "pass", report.failures
+
+
 def test_ratio_check_has_ceiling_with_provenance():
     rep = run_check("k_independence")
     assert rep.verdict == "pass"

@@ -11,6 +11,7 @@ from fracbesov.operators import (
     EUCLIDEAN,
     NormKind,
     OperatorHandle,
+    SingularResolventError,
     VectorElement,
     build_operator,
     estimate_nonnegativity_constants,
@@ -150,6 +151,59 @@ def test_l_compose_avoids_cancellation():
     assert np.allclose(out[0], expect, rtol=1e-12)
 
 
+def _upper_nonnormal():
+    """6x6 upper-triangular with off-diagonal coupling far above the spectrum."""
+    rng = _rng(21)
+    return np.diag(np.geomspace(0.3, 6.0, 6)) + 1.5 * np.triu(rng.normal(size=(6, 6)), 1)
+
+
+def _complex_pair_nonnormal():
+    """Dense, non-normal, eigenvalues {1 +- 2i, 0.5, 2, 3}."""
+    rng = _rng(22)
+    block = np.zeros((5, 5))
+    block[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    block[2:, 2:] = np.diag([0.5, 2.0, 3.0])
+    s = np.eye(5) + 0.3 * rng.normal(size=(5, 5))
+    return s @ block @ np.linalg.inv(s)
+
+
+@pytest.mark.parametrize("make", [_upper_nonnormal, _complex_pair_nonnormal])
+@pytest.mark.parametrize("wrap", ["dense", "shifted", "inverse", "frac_power"])
+def test_schur_solve_matches_dense_solve(make, wrap):
+    base = OperatorHandle.dense(make())
+    assert base.spectral is None
+    h = {"dense": lambda: base,
+         "shifted": lambda: OperatorHandle.shifted(base, 0.7),
+         "inverse": lambda: OperatorHandle.inverse(base),
+         "frac_power": lambda: OperatorHandle.frac_power(base, 0.5)}[wrap]()
+    lams = np.geomspace(1e-8, 1e8, 33)
+    rng = _rng(23)
+    rows = rng.normal(size=(len(lams), h.dim)) + 1j * rng.normal(size=(len(lams), h.dim))
+    got = h.resolvent_batch(lams, rows)
+    a = h.matrix()
+    for lam, row, g in zip(lams, rows, got):
+        want = np.linalg.solve(lam * np.eye(h.dim) + a, row)
+        assert np.linalg.norm(g - want) <= 1e-11 * np.linalg.norm(want)
+
+
+def test_schur_solve_rejects_zero_pivot():
+    for m in ([[-1.0, 0.0], [0.0, 2.0]], [[-1.0, 1.0], [0.0, 2.0]]):
+        with pytest.raises(SingularResolventError):
+            OperatorHandle.dense(m).resolvent(1.0, np.ones(2))
+
+
+def test_singular_values_computed_once(monkeypatch):
+    h = OperatorHandle.dense(_upper_nonnormal())
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert h.injective() and h.injective()
+    lo, hi = h.scales()
+    assert len(calls) == 1
+    sv = svd(h.matrix(), compute_uv=False)
+    assert (lo, hi) == (sv.min(), sv.max())
+
+
 # ----------------------------------------------------- derived structure ----
 
 def test_inverse_of_inverse_round_trip():
@@ -199,6 +253,49 @@ def test_constants_resolvent_bounds_hold():
             r = h.resolvent(lam, x)
             assert lam * np.linalg.norm(r) <= est.M * np.linalg.norm(x) * (1 + 1e-9)
             assert np.linalg.norm(h.apply(r)) <= est.L * np.linalg.norm(x) * (1 + 1e-9)
+
+
+def _resolvent_stack(m, lams):
+    eye = np.eye(m.shape[0])
+    res = [np.linalg.inv(lam * eye + m) for lam in lams]
+    return [lam * r for lam, r in zip(lams, res)], [m @ r for r in res]
+
+
+def test_constants_are_exact_grid_maxima():
+    m = _upper_nonnormal()
+    h = OperatorHandle.dense(m)
+    grid = np.geomspace(1e-4, 1e4, 41)
+    m_mats, l_mats = _resolvent_stack(m, grid)
+    want_m = max(np.linalg.norm(a, 2) for a in m_mats)
+    want_l = max(np.linalg.norm(a, 2) for a in l_mats)
+    assert want_m > 1.0 and want_l > 1.0  # the documented floors at 1 stay idle
+    est = estimate_nonnegativity_constants(h, grid)
+    assert est.M == pytest.approx(want_m, rel=1e-12)
+    assert est.L == pytest.approx(want_l, rel=1e-12)
+    w = _rng(24).uniform(0.5, 3.0, 6)
+    d = np.sqrt(w)
+    cases = [
+        (NormKind("p", p=1), lambda a: max(np.abs(a[:, j]).sum() for j in range(6))),
+        (NormKind("p", p=math.inf), lambda a: max(np.abs(a[i, :]).sum() for i in range(6))),
+        (NormKind("weighted", weights=w),
+         lambda a: np.linalg.norm(np.diag(d) @ a @ np.diag(1.0 / d), 2)),
+    ]
+    for norm, induced in cases:
+        want_m = max(induced(a) for a in m_mats)
+        want_l = max(induced(a) for a in l_mats)
+        assert want_m > 1.0 and want_l > 1.0
+        est = estimate_nonnegativity_constants(h, grid, norm=norm)
+        assert est.M == pytest.approx(want_m, rel=1e-12)
+        assert est.L == pytest.approx(want_l, rel=1e-12)
+
+
+def test_constants_cache_tells_weights_apart():
+    h = OperatorHandle.dense(_upper_nonnormal())
+    w1, w2 = np.ones(6), np.geomspace(1.0, 1e3, 6)
+    c1 = h.constants(NormKind("weighted", weights=w1))
+    c2 = h.constants(NormKind("weighted", weights=w2))
+    assert c1 == h.constants()
+    assert c2 != c1
 
 
 def test_spectral_angle_bound():
