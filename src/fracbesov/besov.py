@@ -20,19 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .fractional import (
-    SemigroupUnavailableError,
-    _cpow,
-    _log_multiplier_rows,
-    phi_apply,
-    power_apply,
-)
+from .fractional import SemigroupUnavailableError, _cpow, phi_apply, power_apply
 from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array, vector_norm
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, golden_section_max
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, _legendre_panels, golden_section_max
 
 _J_CAP = 64
 _EXTEND_STEP = 8
@@ -102,27 +97,6 @@ class NormResult:
 # blocks
 # --------------------------------------------------------------------------
 
-def _phi_rows(handle: OperatorHandle, beta: complex, gamma_exp: complex,
-              lams: np.ndarray, x: np.ndarray,
-              scheme: QuadratureScheme) -> np.ndarray:
-    """Rows A^beta (lam_i + A)^{-gamma} x, batched where the handle allows."""
-    s = handle.spectral
-    if s is not None:
-        return _log_multiplier_rows(s, lams, 0.0, complex(beta), complex(gamma_exp),
-                                    s.to_coeff(x))
-    b_int, g_int = complex(beta), complex(gamma_exp)
-    if b_int.imag == 0 and g_int.imag == 0 and \
-            b_int.real == int(b_int.real) and g_int.real == int(g_int.real):
-        nb, ng = int(b_int.real), int(g_int.real)
-        rows = np.tile(x, (len(lams), 1))
-        for _ in range(ng - nb):
-            rows = handle.resolvent_batch(lams, rows)
-        for _ in range(nb):
-            rows = handle.l_compose_batch(lams, rows)
-        return rows
-    return np.stack([phi_apply(handle, beta, gamma_exp, lam, x, scheme) for lam in lams])
-
-
 def dyadic_block(handle: OperatorHandle, j: int, idx: BesovIndex, x,
                  norm: NormKind = EUCLIDEAN,
                  scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
@@ -140,7 +114,7 @@ def dyadic_blocks(handle: OperatorHandle, js: np.ndarray, idx: BesovIndex, x,
     x = as_array(x)
     js = np.asarray(js, dtype=int)
     a, b = complex(idx.alpha), complex(idx.beta)
-    rows = _phi_rows(handle, b, a + b, np.exp2(js.astype(float)), x, scheme)
+    rows = phi_apply(handle, b, a + b, np.exp2(js.astype(float)), x, scheme)
     scalef = np.exp2(js * (idx.s + a.real))
     return scalef * np.array([vector_norm(r, norm) for r in rows])
 
@@ -196,9 +170,10 @@ class _TailModel:
         return _geometric_tail(self.predict(j_edge), ratio, q)
 
 
-def _certified_sum(handle, idx, x, norm, scheme, tail_tolerance,
+def _certified_sum(blocks_at, handle, q: float, tail_tolerance: float,
                    j_start: int, upward: bool, model: _TailModel):
-    """Aggregate blocks from j_start outward (up or down) with tail completion."""
+    """Aggregate the blocks ``blocks_at(js)`` from j_start outward (up or
+    down) with tail completion, certified against the sum itself."""
     absolute_floor = 1e-290
     step = _EXTEND_STEP if upward else -_EXTEND_STEP
     lo_scale, hi_scale = handle.scales()
@@ -211,15 +186,15 @@ def _certified_sum(handle, idx, x, norm, scheme, tail_tolerance,
     if abs(j_start) > _J_CAP:
         raise TailError(f"base level k={j_start} outside the |j| <= {_J_CAP} cap")
     js = np.arange(j_start, j_edge + 1) if upward else np.arange(j_edge, j_start + 1)
-    blocks = dyadic_blocks(handle, js, idx, x, norm, scheme)
+    blocks = blocks_at(js)
     while True:
         dev = model.deviation(js, blocks)
         edge = int(js[-1] if upward else js[0])
-        tail = model.tail(edge, idx.q)
-        partial = _lq_aggregate(blocks, idx.q)
-        value = _combine(idx.q, partial, tail)
+        tail = model.tail(edge, q)
+        head = _lq_aggregate(blocks, q)
+        value = _combine(q, head, tail)
         if math.isfinite(dev):
-            tail_bound = _combine(idx.q, partial, tail * (1.0 + 2.0 * dev)) - value
+            tail_bound = _combine(q, head, tail * (1.0 + 2.0 * dev)) - value
         else:
             tail_bound = math.inf
         if blocks.max(initial=0.0) <= absolute_floor and model.const <= absolute_floor:
@@ -230,11 +205,10 @@ def _certified_sum(handle, idx, x, norm, scheme, tail_tolerance,
         if abs(nxt_edge) > _J_CAP:
             raise TailError(
                 f"tail not certified within |j| <= {_J_CAP}: deviation={dev:.3e}, "
-                f"tail={tail:.3e}, value={value:.3e} "
-                f"(s={idx.s}, alpha={idx.alpha}, beta={idx.beta}, q={idx.q})")
+                f"tail={tail:.3e}, value={value:.3e} (rate={model.rate}, q={q})")
         new_js = np.arange(edge + (1 if upward else step), edge + step + (1 if upward else 0)) \
             if upward else np.arange(nxt_edge, edge)
-        new_blocks = dyadic_blocks(handle, new_js, idx, x, norm, scheme)
+        new_blocks = blocks_at(new_js)
         if upward:
             js = np.concatenate([js, new_js])
             blocks = np.concatenate([blocks, new_blocks])
@@ -272,8 +246,9 @@ def inhom_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     a = complex(idx.alpha)
     lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x, scheme), norm)
     model = _upper_model(handle, idx, x, norm, scheme)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
     ssum, js, blocks, tail_bound = _certified_sum(
-        handle, idx, x, norm, scheme, tail_tolerance, idx.k, True, model)
+        blocks_at, handle, idx.q, tail_tolerance, idx.k, True, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
 
@@ -290,11 +265,12 @@ def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     if not handle.injective():
         raise ValueError("homogeneous quasi-norm needs an injective operator")
     x = as_array(x)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
     up, js_u, blocks_u, tb_u = _certified_sum(
-        handle, idx, x, norm, scheme, tail_tolerance, 0, True,
+        blocks_at, handle, idx.q, tail_tolerance, 0, True,
         _upper_model(handle, idx, x, norm, scheme))
     dn, js_d, blocks_d, tb_d = _certified_sum(
-        handle, idx, x, norm, scheme, tail_tolerance, -1, False,
+        blocks_at, handle, idx.q, tail_tolerance, -1, False,
         _lower_model(handle, idx, x, norm, scheme))
     value = _combine(idx.q, up, dn)
     trace = None
@@ -317,8 +293,9 @@ def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     x = as_array(x)
     b = complex(idx.beta)
     lead = vector_norm(phi_apply(handle, b, b, 2.0 ** idx.k, x, scheme), norm)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
     ssum, js, blocks, tail_bound = _certified_sum(
-        handle, idx, x, norm, scheme, tail_tolerance, idx.k, False,
+        blocks_at, handle, idx.q, tail_tolerance, idx.k, False,
         _lower_model(handle, idx, x, norm, scheme))
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
@@ -349,31 +326,9 @@ def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
         scalef = np.exp2(js * (s - b.real))
         return scalef * np.array([vector_norm(r, norm) for r in rows])
 
-    c_up = vector_norm(power_apply(handle, b, x), norm)
-    model = _TailModel(c_up, s - b.real, upward=True)
-    lo_scale, hi_scale = handle.scales()
-    j_edge = int(np.clip(max(k, math.ceil(math.log2(max(hi_scale, 1e-300))) + 10), -_J_CAP, _J_CAP))
-    js = np.arange(k, j_edge + 1)
-    blocks = blocks_at(js)
-    while True:
-        dev = model.deviation(js, blocks)
-        tail = model.tail(int(js[-1]), q)
-        partial = _lq_aggregate(blocks, q)
-        ssum = _combine(q, partial, tail)
-        if math.isfinite(dev):
-            tail_bound = _combine(q, partial, tail * (1.0 + 2.0 * dev)) - ssum
-        else:
-            tail_bound = math.inf
-        if blocks.max(initial=0.0) <= 1e-290 and c_up <= 1e-290:
-            ssum, tail_bound = 0.0, 0.0
-            break
-        if tail_bound <= tail_tolerance * max(lead + ssum, 1e-290):
-            break
-        if js[-1] + _EXTEND_STEP > _J_CAP:
-            raise TailError(f"semigroup-norm tail not certified within |j| <= {_J_CAP}")
-        new_js = np.arange(js[-1] + 1, js[-1] + _EXTEND_STEP + 1)
-        js = np.concatenate([js, new_js])
-        blocks = np.concatenate([blocks, blocks_at(new_js)])
+    model = _TailModel(vector_norm(power_apply(handle, b, x), norm), s - b.real, upward=True)
+    ssum, js, blocks, tail_bound = _certified_sum(blocks_at, handle, q, tail_tolerance,
+                                                  k, True, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
 
@@ -398,21 +353,15 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     _, hi_scale = handle.scales()
 
     def g_many(us: np.ndarray) -> np.ndarray:
-        rows = _phi_rows(handle, b, a + b, np.exp(us), x, scheme)
+        rows = phi_apply(handle, b, a + b, np.exp(us), x, scheme)
         return np.exp(us * (idx.s + a.real)) * np.array([vector_norm(r, norm) for r in rows])
 
     u_min = idx.k * math.log(2.0)
     u_max = max(u_min + 1.0, math.log(max(hi_scale, 1e-300)) + 25.0)
     tol = scheme.tail_tolerance
-    per_panel = 16
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
     for _ in range(40):
         panels = max(4, int(math.ceil((u_max - u_min) / (0.5 * math.log(2.0)))))
-        edges = np.linspace(u_min, u_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        us = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        ws = (half[:, None] * wg[None, :]).ravel()
+        us, ws = _legendre_panels(u_min, u_max, panels)
         gs = g_many(us)
         g_end = g_many(np.array([u_max]))[0]
         model_end = c_up * math.exp(rate * u_max)

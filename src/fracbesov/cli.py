@@ -169,7 +169,7 @@ def parse_config(source: str) -> RunConfig:
         qd = raw["quadrature"]
         if not isinstance(qd, dict):
             raise ConfigError("quadrature must be an object")
-        bad = set(qd) - {"rule", "nodes", "u_min", "u_max", "tail_tolerance"}
+        bad = set(qd) - {"nodes", "u_min", "u_max", "tail_tolerance"}
         if bad:
             raise ConfigError(f"unknown quadrature keys: {sorted(bad)}")
         try:

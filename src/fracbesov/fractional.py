@@ -16,7 +16,7 @@ bounded parts A(l+A)^{-1} and l(l+A)^{-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,8 @@ from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureError,
     QuadratureScheme,
+    _legendre_panels,
     integrate_multiplicative,
-    scheme_with,
 )
 
 
@@ -93,7 +93,7 @@ def _cpow(base: np.ndarray, z: complex) -> np.ndarray:
 def _inner_scheme(scheme: QuadratureScheme) -> QuadratureScheme:
     # fractional powers of the bounded parts live on [0, ~1]; a narrower
     # window and fewer nodes keep composite costs bounded
-    return scheme_with(scheme, nodes=max(256, scheme.nodes // 4), u_min=None, u_max=None)
+    return replace(scheme, nodes=max(256, scheme.nodes // 4), u_min=None, u_max=None)
 
 
 _DECAY_MARGIN = 0.4
@@ -270,46 +270,63 @@ def _bounded_frac_apply(compose, a: complex, x: np.ndarray, scale_hi: float,
     return pref * val
 
 
-def _at_one_lam(batch, lam: float, y: np.ndarray) -> np.ndarray:
-    """batch(lams, rows) at a single lam, for a vector or a block of rows."""
-    rows = y.reshape(-1, y.shape[-1])
-    return batch(np.full(len(rows), float(lam)), rows).reshape(y.shape)
-
-
-def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam: float, x,
+def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x,
               scheme: QuadratureScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """A^beta (lam + A)^{-gamma} x with 0 <= Re beta <= Re gamma, lam > 0;
-    ``x`` is a vector (n,) or a block (k, n) of row vectors."""
+    """A^beta (lam + A)^{-gamma} x with 0 <= Re beta <= Re gamma and lam > 0.
+
+    ``x`` is a vector (n,) or a block (k, n) of row vectors. ``lam`` is one
+    shift, giving the shape of ``x``, or a 1-D array of shifts, giving one
+    leading row (or (k, n) block) per shift. This is the one place that
+    chooses the route: spectral multipliers when the handle has eigen-data;
+    otherwise the integer factors are shifted solves batched over all shifts,
+    and each fractional factor is one bounded-part quadrature per shift, so
+    that its tails are certified against that shift's own value.
+    """
     b = _as_complex(beta)
     g = _as_complex(gamma_exp)
     x = as_array(x)
     if b.real < 0 or g.real < b.real:
         raise ValueError("phi_apply needs 0 <= Re beta <= Re gamma")
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a scalar or a 1-D array")
+    if not np.all(lams > 0):
+        raise ValueError("phi_apply needs lam > 0")
+    scalar = lams.ndim == 0
+    lams = np.atleast_1d(lams)
     s = handle.spectral
     if s is not None:
-        return _log_multiplier_rows(s, np.array([lam]), 0.0, b, g, s.to_coeff(x))[0]
+        y = _log_multiplier_rows(s, lams, 0.0, b, g, s.to_coeff(x))
+        return y[0] if scalar else y
 
     inner = _inner_scheme(scheme)
-    lo, hi = handle.scales()
-    y = x
+    y = np.tile(x, (len(lams),) + (1,) * x.ndim)
+    node_lams = np.repeat(lams, 1 if x.ndim == 1 else x.shape[0])
+
+    def batch(op, y):
+        return op(node_lams, y.reshape(-1, handle.dim)).reshape(y.shape)
+
     # resolvent factor (lam+A)^{-(g-b)} = lam^{-(g-b)} [lam (lam+A)^{-1}]^{g-b}
     d = g - b
     d_int = int(math.floor(d.real))
     d_rem = d - d_int
     for _ in range(d_int):
-        y = _at_one_lam(handle.resolvent_batch, lam, y)
+        y = batch(handle.resolvent_batch, y)
     if d_rem != 0:
-        y = _bounded_frac_apply(_bounded_compose_M(handle, lam), d_rem, y,
-                                1.0, inner) * lam ** (-complex(d_rem))
+        y = np.stack([_bounded_frac_apply(_bounded_compose_M(handle, lm), d_rem, yi,
+                                          1.0, inner) * lm ** (-d_rem)
+                      for lm, yi in zip(lams, y)])
     # bounded factor [A (lam+A)^{-1}]^{b}
     b_int = int(math.floor(b.real))
     b_rem = b - b_int
     for _ in range(b_int):
-        y = _at_one_lam(handle.l_compose_batch, lam, y)
+        y = batch(handle.l_compose_batch, y)
     if b_rem != 0:
-        y = _bounded_frac_apply(_bounded_compose_L(handle, lam), b_rem, y,
-                                hi / (lam + hi), inner)
-    return y
+        hi = handle.scales()[1]
+        y = np.stack([_bounded_frac_apply(_bounded_compose_L(handle, lm), b_rem, yi,
+                                          hi / (lm + hi), inner)
+                      for lm, yi in zip(lams, y)])
+    return y[0] if scalar else y
 
 
 # --------------------------------------------------------------------------
@@ -352,10 +369,7 @@ def frac_power_unified(
         inner = _inner_scheme(scheme)
 
         def integrand(lams):
-            rows = np.empty((len(lams), handle.dim), dtype=complex)
-            for i, lam in enumerate(lams):
-                rows[i] = phi_apply(handle, b, a + b, lam, x, inner)
-            return _cpow(lams, zc + a)[:, None] * rows
+            return _cpow(lams, zc + a)[:, None] * phi_apply(handle, b, a + b, lams, x, inner)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
                                       decay_lo=zc.real + a.real,
@@ -560,9 +574,9 @@ def subordinated_semigroup(
         return (kern * ss)[:, None] * _semigroup_rows(handle, ss, x)  # ds = s du
 
     center = t ** (1.0 / alpha)
-    kernel_scheme = scheme_with(scheme, nodes=min(scheme.nodes, 512),
-                                u_min=math.log(center) - 14.0,
-                                u_max=math.log(center) + 14.0)
+    kernel_scheme = replace(scheme, nodes=min(scheme.nodes, 512),
+                            u_min=math.log(center) - 14.0,
+                            u_max=math.log(center) + 14.0)
     val, _ = integrate_multiplicative(integrand, center, center, kernel_scheme,
                                       decay_lo=1.0, decay_hi=alpha)
     return val
@@ -601,18 +615,8 @@ def ergodic_limits(
         t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    m_rows = np.empty((len(t_grid), handle.dim), dtype=complex)
-    l_rows = np.empty_like(m_rows)
-    s = handle.spectral
-    if s is not None:
-        coeff = s.to_coeff(x)
-        for i, t in enumerate(t_grid):
-            m_rows[i] = s.from_coeff(_cpow(t / (t + s.eigenvalues), a) * coeff)
-            l_rows[i] = s.from_coeff(_cpow(s.eigenvalues / (t + s.eigenvalues), a) * coeff)
-    else:
-        for i, t in enumerate(t_grid):
-            m_rows[i] = t ** a * phi_apply(handle, 0.0, a, t, x, scheme)
-            l_rows[i] = phi_apply(handle, a, a, t, x, scheme)
+    m_rows = (t_grid ** a)[:, None] * phi_apply(handle, 0.0, a, t_grid, x, scheme)
+    l_rows = phi_apply(handle, a, a, t_grid, x, scheme)
 
     scale = np.linalg.norm(x) or 1.0
     # one Richardson step at the known approach rates: O(1/t) toward
@@ -665,10 +669,8 @@ def reproducing_residual(
         s = handle.spectral
         if s is not None:
             return _log_multiplier_rows(s, ts, a, m, a + m, s.to_coeff(x))
-        rows = np.empty((len(ts), handle.dim), dtype=complex)
-        for i, t in enumerate(ts):
-            rows[i] = phi_apply(handle, float(m), a + m, t, x, _inner_scheme(scheme))
-        return _cpow(ts, a)[:, None] * rows
+        return _cpow(ts, a)[:, None] * phi_apply(handle, float(m), a + m, ts, x,
+                                                 _inner_scheme(scheme))
 
     pref_tail = gamma(a + m) / (gamma(a) * gamma(m))
     if lam_cut == 0:
@@ -678,8 +680,8 @@ def reproducing_residual(
                                           decay_lo=a.real, decay_hi=m)
         y = pref_tail * val
     else:
-        half = scheme_with(scheme, u_min=math.log(lam_cut),
-                           u_max=math.log(max(hi, lam_cut) * 1e8))
+        half = replace(scheme, u_min=math.log(lam_cut),
+                       u_max=math.log(max(hi, lam_cut) * 1e8))
         val, _ = _integrate_fixed_lo(tail_integrand, half, decay_hi=m)
         y = pref_tail * val
         w = lam_cut ** a * phi_apply(handle, 0.0, a, lam_cut, x, scheme)
@@ -697,19 +699,12 @@ def reproducing_residual(
 def _integrate_fixed_lo(f, scheme: QuadratureScheme, decay_hi: float):
     """Half-line variant: hard lower limit, certified tail at the top only.
 
-    Gauss-Legendre panels: the integrand is O(1) at the cutoff, where the
-    trapezoid rule would pay an O(h^2) boundary penalty.
+    Gauss-Legendre panels: the integrand is O(1) at the cutoff.
     """
     u_min = scheme.u_min
     u_max = scheme.u_max
-    xg, wg = np.polynomial.legendre.leggauss(16)
     for _ in range(40):
-        panels = max(8, int(math.ceil((u_max - u_min) / 0.35)))
-        edges = np.linspace(u_min, u_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        u, w = _legendre_panels(u_min, u_max, max(8, int(math.ceil((u_max - u_min) / 0.35))))
         vals = np.asarray(f(np.exp(u)))
         total = np.tensordot(w, vals, axes=(0, 0))
         mags = np.linalg.norm(vals, axis=-1) if vals.ndim > 1 else np.abs(vals)

@@ -1,46 +1,23 @@
-"""Complex Gamma function (Lanczos approximation) and the Gamma-factor
-prefactors used throughout the fractional-power integrals.
-
-The evaluator is self-contained: Lanczos with g = 7 and 9 coefficients,
-reflection formula for Re z < 1/2. Accuracy is ~1e-13 relative on the
-arguments this package needs (verified against a frozen high-precision
-table in the test suite).
-"""
+"""Complex Gamma function and the Gamma-factor prefactors used throughout
+the fractional-power integrals."""
 
 from __future__ import annotations
 
-import cmath
-import math
-
-_LANCZOS_G = 7.0
-# g = 7, 9-term coefficient set.
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+from scipy.special import gamma as _scipy_gamma
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) for complex z off the non-positive integers."""
+    """Gamma(z) for complex z off the non-positive integers, through
+    ``scipy.special.gamma``; raises ZeroDivisionError at a pole.
+
+    Real arguments go through scipy's real kernel, which is exact at the
+    positive integers, where the complex kernel is off by a few ulp."""
     z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == int(z.real):
-            raise ZeroDivisionError(f"Gamma pole at z = {z}")
-        s = cmath.sin(cmath.pi * z)
-        return cmath.pi / (s * gamma(1.0 - z))
-    z = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    if z.imag != 0.0:
+        return complex(_scipy_gamma(z))
+    if z.real <= 0.0 and z.real == int(z.real):
+        raise ZeroDivisionError(f"Gamma pole at z = {z}")
+    return complex(_scipy_gamma(z.real))
 
 
 def balakrishnan_prefactor(alpha: complex, n: int) -> complex:

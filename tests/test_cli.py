@@ -47,6 +47,12 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
+def test_unknown_quadrature_key_rejected():
+    with pytest.raises(ConfigError, match="unknown quadrature keys: \\['rule'\\]"):
+        parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
+                     '"quadrature": {"rule": "gauss_legendre_panels"}}')
+
+
 def test_parse_error_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"command": "power",\n  "operator": oops}')

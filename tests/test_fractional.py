@@ -204,6 +204,33 @@ def test_phi_apply_and_frac_power_on_a_block():
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("handle", [
+    OperatorHandle.diagonal(np.geomspace(0.2, 9.0, 6)),
+    OperatorHandle.dense(np.diag(np.geomspace(0.3, 8.0, 6))
+                         + 0.7 * np.triu(np.random.default_rng(5).normal(size=(6, 6)), 1)),
+], ids=["diagonal", "upper6"])
+@pytest.mark.parametrize("b, g", [(1.0, 2.0), (0.6, 1.3)])
+@pytest.mark.parametrize("shape", [(6,), (3, 6)], ids=["vector", "block"])
+def test_phi_apply_over_an_array_of_shifts(handle, b, g, shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lams = np.array([0.05, 0.9, 3.0, 40.0])
+    got = phi_apply(handle, b, g, lams, x)
+    want = np.stack([phi_apply(handle, b, g, lam, x) for lam in lams])
+    assert want.shape == (len(lams),) + shape
+    assert got.shape == want.shape
+    for row, w in zip(got, want):
+        assert np.abs(row - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("handle", [DIAG14, OperatorHandle.dense([[1.0, 0.5], [0.0, 4.0]])],
+                         ids=["spectral", "dense"])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.array([1.0, 0.0])], ids=["zero", "negative", "array"])
+def test_phi_apply_rejects_nonpositive_shifts(handle, lam):
+    with pytest.raises(ValueError, match="lam > 0"):
+        phi_apply(handle, 0.5, 1.0, lam, ONES2)
+
+
 def test_power_apply_routes():
     x = np.array([1.0, 1.0], dtype=complex)
     assert np.allclose(power_apply(DIAG14, 0.0, x), x)
