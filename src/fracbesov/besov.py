@@ -98,23 +98,21 @@ class NormResult:
 # --------------------------------------------------------------------------
 
 def dyadic_block(handle: OperatorHandle, j: int, idx: BesovIndex, x,
-                 norm: NormKind = EUCLIDEAN,
-                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
+                 norm: NormKind = EUCLIDEAN) -> float:
     """|| 2^{j(s+alpha)} A^beta (2^j+A)^{-alpha-beta} x ||.
 
     Only Re alpha enters the magnitude (|2^{j alpha}| = 2^{j Re alpha});
     imaginary parts act inside the operator composition.
     """
-    return float(dyadic_blocks(handle, np.array([j]), idx, x, norm, scheme)[0])
+    return float(dyadic_blocks(handle, np.array([j]), idx, x, norm)[0])
 
 
 def dyadic_blocks(handle: OperatorHandle, js: np.ndarray, idx: BesovIndex, x,
-                  norm: NormKind = EUCLIDEAN,
-                  scheme: QuadratureScheme = DEFAULT_SCHEME) -> np.ndarray:
+                  norm: NormKind = EUCLIDEAN) -> np.ndarray:
     x = as_array(x)
     js = np.asarray(js, dtype=int)
     a, b = complex(idx.alpha), complex(idx.beta)
-    rows = phi_apply(handle, b, a + b, np.exp2(js.astype(float)), x, scheme)
+    rows = phi_apply(handle, b, a + b, np.exp2(js.astype(float)), x)
     scalef = np.exp2(js * (idx.s + a.real))
     return scalef * np.array([vector_norm(r, norm) for r in rows])
 
@@ -217,18 +215,18 @@ def _certified_sum(blocks_at, handle, q: float, tail_tolerance: float,
             blocks = np.concatenate([new_blocks, blocks])
 
 
-def _upper_model(handle, idx, x, norm, scheme) -> _TailModel:
+def _upper_model(handle, idx, x, norm) -> _TailModel:
     b = complex(idx.beta)
-    c_up = vector_norm(power_apply(handle, b, x, scheme), norm)
+    c_up = vector_norm(power_apply(handle, b, x), norm)
     return _TailModel(c_up, idx.s - b.real, upward=True)
 
 
-def _lower_model(handle, idx, x, norm, scheme) -> _TailModel:
+def _lower_model(handle, idx, x, norm) -> _TailModel:
     a = complex(idx.alpha)
     if a == 0:
         c_dn = vector_norm(x, norm)
     else:
-        c_dn = vector_norm(power_apply(OperatorHandle.inverse(handle), a, x, scheme), norm)
+        c_dn = vector_norm(power_apply(OperatorHandle.inverse(handle), a, x), norm)
     return _TailModel(c_dn, idx.s + a.real, upward=False)
 
 
@@ -239,14 +237,13 @@ def _lower_model(handle, idx, x, norm, scheme) -> _TailModel:
 def inhom_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
                      tail_tolerance: float = 1e-8,
                      norm: NormKind = EUCLIDEAN,
-                     scheme: QuadratureScheme = DEFAULT_SCHEME,
                      keep_trace: bool = False) -> NormResult:
     """||(2^k+A)^{-alpha} x|| + ( sum_{j>=k} b_j^q )^{1/q}."""
     x = as_array(x)
     a = complex(idx.alpha)
-    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x, scheme), norm)
-    model = _upper_model(handle, idx, x, norm, scheme)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
+    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
+    model = _upper_model(handle, idx, x, norm)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
     ssum, js, blocks, tail_bound = _certified_sum(
         blocks_at, handle, idx.q, tail_tolerance, idx.k, True, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
@@ -256,7 +253,6 @@ def inhom_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
 def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
                      tail_tolerance: float = 1e-8,
                      norm: NormKind = EUCLIDEAN,
-                     scheme: QuadratureScheme = DEFAULT_SCHEME,
                      keep_trace: bool = False) -> NormResult:
     """Two-sided aggregate ( sum_{j in Z} b_j^q )^{1/q}; A must be injective
     and Re beta > 0."""
@@ -265,13 +261,13 @@ def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     if not handle.injective():
         raise ValueError("homogeneous quasi-norm needs an injective operator")
     x = as_array(x)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
     up, js_u, blocks_u, tb_u = _certified_sum(
         blocks_at, handle, idx.q, tail_tolerance, 0, True,
-        _upper_model(handle, idx, x, norm, scheme))
+        _upper_model(handle, idx, x, norm))
     dn, js_d, blocks_d, tb_d = _certified_sum(
         blocks_at, handle, idx.q, tail_tolerance, -1, False,
-        _lower_model(handle, idx, x, norm, scheme))
+        _lower_model(handle, idx, x, norm))
     value = _combine(idx.q, up, dn)
     trace = None
     if keep_trace:
@@ -283,7 +279,6 @@ def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
 def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
                      tail_tolerance: float = 1e-8,
                      norm: NormKind = EUCLIDEAN,
-                     scheme: QuadratureScheme = DEFAULT_SCHEME,
                      keep_trace: bool = False) -> NormResult:
     """||A^beta (2^k+A)^{-beta} x|| + ( sum_{j<=k} b_j^q )^{1/q} (injective A)."""
     if complex(idx.beta).real <= 0:
@@ -292,11 +287,11 @@ def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
         raise ValueError("the alternative inhomogeneous quasi-norm needs injectivity")
     x = as_array(x)
     b = complex(idx.beta)
-    lead = vector_norm(phi_apply(handle, b, b, 2.0 ** idx.k, x, scheme), norm)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm, scheme=scheme)
+    lead = vector_norm(phi_apply(handle, b, b, 2.0 ** idx.k, x), norm)
+    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
     ssum, js, blocks, tail_bound = _certified_sum(
         blocks_at, handle, idx.q, tail_tolerance, idx.k, False,
-        _lower_model(handle, idx, x, norm, scheme))
+        _lower_model(handle, idx, x, norm))
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
 
@@ -305,7 +300,6 @@ def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
                          beta, x,
                          tail_tolerance: float = 1e-8,
                          norm: NormKind = EUCLIDEAN,
-                         scheme: QuadratureScheme = DEFAULT_SCHEME,
                          keep_trace: bool = False) -> NormResult:
     """||x|| + ( sum_{j>=k} || 2^{j(s-beta)} A^beta e^{-2^{-j} A} x ||^q )^{1/q},
     for s > 0 and Re beta > s."""
@@ -347,13 +341,13 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     """
     x = as_array(x)
     a, b = complex(idx.alpha), complex(idx.beta)
-    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x, scheme), norm)
-    c_up = vector_norm(power_apply(handle, b, x, scheme), norm)
+    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
+    c_up = vector_norm(power_apply(handle, b, x), norm)
     rate = idx.s - b.real     # g(u) ~ c_up * e^{rate * u}
     _, hi_scale = handle.scales()
 
     def g_many(us: np.ndarray) -> np.ndarray:
-        rows = phi_apply(handle, b, a + b, np.exp(us), x, scheme)
+        rows = phi_apply(handle, b, a + b, np.exp(us), x)
         return np.exp(us * (idx.s + a.real)) * np.array([vector_norm(r, norm) for r in rows])
 
     u_min = idx.k * math.log(2.0)

@@ -8,9 +8,9 @@ The workhorse is the real-integral representation
 with n the smallest integer above Re a, discretized by the log-substituted
 quadrature of :mod:`fracbesov.quadrature`. A spectral route (multiplier
 calculus through the handle's eigen-transform) serves as the independent
-oracle. Compositions A^b (l+A)^{-g} on handles without spectral data are
-reduced to integer resolvent compositions times fractional powers of the
-bounded parts A(l+A)^{-1} and l(l+A)^{-1}.
+oracle. On handles without spectral data, A^z and the compositions
+A^b (l+A)^{-g} are one Cauchy integral over a contour around the spectrum,
+whose nodes serve every shift l and every exponent at once.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def _cpow(base: np.ndarray, z: complex) -> np.ndarray:
     if z == 0:
         out[~pos] = 1.0
     return out
-
-
-def _inner_scheme(scheme: QuadratureScheme) -> QuadratureScheme:
-    # fractional powers of the bounded parts live on [0, ~1]; a narrower
-    # window and fewer nodes keep composite costs bounded
-    return replace(scheme, nodes=max(256, scheme.nodes // 4), u_min=None, u_max=None)
 
 
 _DECAY_MARGIN = 0.4
@@ -210,77 +204,89 @@ def spectral_frac_power(handle: OperatorHandle, z, x) -> np.ndarray:
     return s.from_coeff(s.to_coeff(x) * _cpow(s.eigenvalues, z))
 
 
-def power_apply(handle: OperatorHandle, z, x, scheme: QuadratureScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """A^z x by the best available route (spectral if present, else composed)."""
+def power_apply(handle: OperatorHandle, z, x) -> np.ndarray:
+    """A^z x for any complex z: eigen-multipliers when the handle has
+    spectral data, otherwise the contour integral of :func:`_contour_apply`."""
     z = _as_complex(z)
     x = as_array(x)
     if z == 0:
         return x.copy()
     if handle.spectral is not None:
         return spectral_frac_power(handle, z, x)
-    if z.real < 0:
-        return power_apply(OperatorHandle.inverse(handle), -z, x, scheme)
-    if z.real == 0:
-        raise ValueError("purely imaginary powers need spectral data")
-    n_int = int(math.floor(z.real))
-    rem = z - n_int
-    y = x
-    if rem != 0 and _is_integer(rem.real):  # Re z integer, Im z != 0
-        raise ValueError("integer Re z with Im z != 0 needs spectral data")
-    if rem != 0:
-        y = frac_power(handle, rem, y, scheme)
-    for _ in range(n_int):
-        y = handle.apply(y)
-    return y
+    return _contour_apply(handle, z, 0.0, np.ones(1), x)[0]
 
 
 # --------------------------------------------------------------------------
 # compositions A^beta (lam + A)^{-gamma}
 # --------------------------------------------------------------------------
 
-def _bounded_compose_L(handle, lam):
-    """Node maps rows -> B (mu + B)^{-1} rows for B = A (lam+A)^{-1}.
-
-    Closed form through one base resolvent: B (mu+B)^{-1} = A (A + lam')^{-1}
-    / (mu+1) with lam' = mu lam / (mu+1)."""
-    def compose(mus, rows):
-        lam_eff = mus * lam / (mus + 1.0)
-        return handle.l_compose_batch(lam_eff, rows) / (mus + 1.0)[:, None]
-    return compose
+_CONTOUR_MARGIN = 1.5     # real semi-axis beyond the half-range of log|eigenvalues|
+_CONTOUR_HEIGHT = 2.2     # imaginary semi-axis, below pi: clear of z <= 0 and z <= -lam
+_CONTOUR_RTOL = 1e-12
+_CONTOUR_START = 32
+_CONTOUR_CAP = 1024
 
 
-def _bounded_compose_M(handle, lam):
-    """Node maps rows -> B (mu + B)^{-1} rows for B = lam (lam+A)^{-1}:
-    equals (lam/mu) (A + (mu+1) lam / mu)^{-1} rows."""
-    def compose(mus, rows):
-        lam_eff = (mus + 1.0) * lam / mus
-        return (lam / mus)[:, None] * handle.resolvent_batch(lam_eff, rows)
-    return compose
+def _contour_apply(handle: OperatorHandle, b: complex, g: complex, lams: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Rows A^b (lam_i + A)^{-g} x, one per shift, for a handle without
+    spectral data: the Cauchy integral (1/2 pi i) oint f(z) (z - A)^{-1} x dz
+    with f(z) = z^b (lam + z)^{-g}, on an ellipse in w = log z around the
+    logs of the Schur eigenvalues (|Im w| < pi keeps f analytic inside). The
+    trapezoid rule in the angle converges geometrically (Hale, Higham &
+    Trefethen, SIAM J. Numer. Anal. 46(5), 2008) and its nodes depend only
+    on A, so one block of Schur solves serves every shift. Node counts
+    double, solving only at the new nodes, until each shift's last two sums
+    agree to _CONTOUR_RTOL; ``x`` is a vector (n,) or a block (k, n)."""
+    eigs = np.diag(handle._schur()[1])
+    if np.any((eigs.imag == 0) & (eigs.real <= 0)):
+        raise ValueError("the contour route needs every eigenvalue off (-inf, 0]")
+    logs = np.log(eigs)
+    lo, hi = logs.real.min(), logs.real.max()
+    centre, radius = 0.5 * (lo + hi), 0.5 * (hi - lo) + _CONTOUR_MARGIN
+    if np.any(((logs.real - centre) / radius) ** 2 + (logs.imag / _CONTOUR_HEIGHT) ** 2 >= 1.0):
+        raise ValueError("an eigenvalue lies outside the contour: too close to (-inf, 0]")
+    rows = x.reshape(-1, handle.dim)
+    out = np.empty((len(lams), rows.size), dtype=complex)
+    active = np.arange(len(lams))      # shifts not yet certified
+    sums = np.zeros_like(out)
+    prev = None
+    nodes, ks = _CONTOUR_START, np.arange(_CONTOUR_START)
+    while True:
+        t = 2.0 * np.pi * ks / nodes
+        w = centre + radius * np.cos(t) + 1j * _CONTOUR_HEIGHT * np.sin(t)
+        z = np.exp(w)
+        dz = z * (-radius * np.sin(t) + 1j * _CONTOUR_HEIGHT * np.cos(t))
+        # (z - A)^{-1} = -(-z + A)^{-1}, one row of the block per node
+        res = -handle._schur_solve(np.repeat(-z, len(rows)), np.tile(rows, (len(z), 1)))
+        f = np.exp(b * w[None, :] - g * np.log(lams[active, None] + z[None, :]))
+        sums += (f * dz[None, :]) @ res.reshape(len(z), -1)
+        value = sums / (1j * nodes)
+        if prev is not None:
+            done = np.linalg.norm(value - prev, axis=1) <= \
+                _CONTOUR_RTOL * np.linalg.norm(value, axis=1)
+            out[active[done]] = value[done]
+            active, sums, value = active[~done], sums[~done], value[~done]
+            if len(active) == 0:
+                return out.reshape((len(lams),) + x.shape)
+            if nodes >= _CONTOUR_CAP:
+                raise QuadratureError(
+                    f"contour integral not certified at {nodes} nodes for "
+                    f"{len(active)} of {len(lams)} shifts")
+        prev = value
+        ks = 2 * np.arange(nodes) + 1      # the new, odd-indexed nodes
+        nodes *= 2
 
 
-def _bounded_frac_apply(compose, a: complex, x: np.ndarray, scale_hi: float,
-                        scheme: QuadratureScheme) -> np.ndarray:
-    """B^a x for a bounded non-negative part B given through mu -> B(mu+B)^{-1},
-    0 < Re a < 1; ``x`` is a vector or a block of row vectors."""
-    n = _representation_order(a)
-    pref = balakrishnan_prefactor(a, n)
-    val, _ = integrate_multiplicative(_power_integrand(compose, a, n, x),
-                                      min(scale_hi, 1.0), max(scale_hi, 1.0),
-                                      scheme, decay_lo=a.real, decay_hi=n - a.real)
-    return pref * val
-
-
-def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x,
-              scheme: QuadratureScheme = DEFAULT_SCHEME) -> np.ndarray:
+def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x) -> np.ndarray:
     """A^beta (lam + A)^{-gamma} x with 0 <= Re beta <= Re gamma and lam > 0.
 
     ``x`` is a vector (n,) or a block (k, n) of row vectors. ``lam`` is one
     shift, giving the shape of ``x``, or a 1-D array of shifts, giving one
-    leading row (or (k, n) block) per shift. This is the one place that
-    chooses the route: spectral multipliers when the handle has eigen-data;
-    otherwise the integer factors are shifted solves batched over all shifts,
-    and each fractional factor is one bounded-part quadrature per shift, so
-    that its tails are certified against that shift's own value.
+    leading row (or (k, n) block) per shift. Handles with eigen-data use
+    spectral multipliers; all others use one contour integral for all shifts
+    (:func:`_contour_apply`), which raises ValueError when a Schur eigenvalue
+    lies on (-inf, 0], singular handles included.
     """
     b = _as_complex(beta)
     g = _as_complex(gamma_exp)
@@ -297,35 +303,8 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x,
     s = handle.spectral
     if s is not None:
         y = _log_multiplier_rows(s, lams, 0.0, b, g, s.to_coeff(x))
-        return y[0] if scalar else y
-
-    inner = _inner_scheme(scheme)
-    y = np.tile(x, (len(lams),) + (1,) * x.ndim)
-    node_lams = np.repeat(lams, 1 if x.ndim == 1 else x.shape[0])
-
-    def batch(op, y):
-        return op(node_lams, y.reshape(-1, handle.dim)).reshape(y.shape)
-
-    # resolvent factor (lam+A)^{-(g-b)} = lam^{-(g-b)} [lam (lam+A)^{-1}]^{g-b}
-    d = g - b
-    d_int = int(math.floor(d.real))
-    d_rem = d - d_int
-    for _ in range(d_int):
-        y = batch(handle.resolvent_batch, y)
-    if d_rem != 0:
-        y = np.stack([_bounded_frac_apply(_bounded_compose_M(handle, lm), d_rem, yi,
-                                          1.0, inner) * lm ** (-d_rem)
-                      for lm, yi in zip(lams, y)])
-    # bounded factor [A (lam+A)^{-1}]^{b}
-    b_int = int(math.floor(b.real))
-    b_rem = b - b_int
-    for _ in range(b_int):
-        y = batch(handle.l_compose_batch, y)
-    if b_rem != 0:
-        hi = handle.scales()[1]
-        y = np.stack([_bounded_frac_apply(_bounded_compose_L(handle, lm), b_rem, yi,
-                                          hi / (lm + hi), inner)
-                      for lm, yi in zip(lams, y)])
+    else:
+        y = _contour_apply(handle, b, g, lams, x)
     return y[0] if scalar else y
 
 
@@ -366,10 +345,8 @@ def frac_power_unified(
         def integrand(lams):
             return _log_multiplier_rows(s, lams, zc + a, b, a + b, coeff)
     else:
-        inner = _inner_scheme(scheme)
-
         def integrand(lams):
-            return _cpow(lams, zc + a)[:, None] * phi_apply(handle, b, a + b, lams, x, inner)
+            return _cpow(lams, zc + a)[:, None] * phi_apply(handle, b, a + b, lams, x)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
                                       decay_lo=zc.real + a.real,
@@ -396,6 +373,12 @@ def frac_resolvent(
     integrated against (mu + A)^{-1} x. With ``companion=True`` the
     A^alpha (lam + A^alpha)^{-1} variant (kernel lam mu^alpha / (...) against
     A (mu + A)^{-1} x) is returned instead.
+
+    The integrand in u = ln mu is analytic in the strip |Im u| < d with
+    d = min(pi, pi (1 - alpha)/alpha): the kernel's poles sit at distance
+    pi (1 - alpha)/alpha, the resolvent's at pi. The trapezoid error is about
+    exp(-2 pi d / h) for node spacing h, and QuadratureError is raised when
+    that exceeds the scheme's tail tolerance (alpha near 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("frac_resolvent needs alpha in (0, 1)")
@@ -416,8 +399,16 @@ def frac_resolvent(
             rows = handle.resolvent_many(mus, x)
         return kern[:, None] * rows
 
-    val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
-                                      decay_lo=alpha, decay_hi=alpha)
+    val, diag = integrate_multiplicative(integrand, lo, hi, scheme,
+                                         decay_lo=alpha, decay_hi=alpha)
+    strip = min(math.pi, math.pi * (1.0 - alpha) / alpha)
+    h = (diag.u_max - diag.u_min) / (diag.nodes - 1)
+    discretization = math.exp(-2.0 * math.pi * strip / h)
+    if discretization > scheme.tail_tolerance:
+        raise QuadratureError(
+            f"frac_resolvent at alpha={alpha}: trapezoid error estimate "
+            f"{discretization:.1e} exceeds {scheme.tail_tolerance:.1e} "
+            f"(pole strip {strip:.2e}, node spacing {h:.2e})")
     return pref * val
 
 
@@ -603,7 +594,6 @@ def ergodic_limits(
     alpha,
     x,
     t_grid: Optional[np.ndarray] = None,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
     rtol: float = 1e-6,
 ) -> ErgodicLimits:
     """Evaluate t^a (t+A)^{-a} x and A^a (t+A)^{-a} x across both ergodic
@@ -615,8 +605,8 @@ def ergodic_limits(
         t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    m_rows = (t_grid ** a)[:, None] * phi_apply(handle, 0.0, a, t_grid, x, scheme)
-    l_rows = phi_apply(handle, a, a, t_grid, x, scheme)
+    m_rows = (t_grid ** a)[:, None] * phi_apply(handle, 0.0, a, t_grid, x)
+    l_rows = phi_apply(handle, a, a, t_grid, x)
 
     scale = np.linalg.norm(x) or 1.0
     # one Richardson step at the known approach rates: O(1/t) toward
@@ -669,8 +659,7 @@ def reproducing_residual(
         s = handle.spectral
         if s is not None:
             return _log_multiplier_rows(s, ts, a, m, a + m, s.to_coeff(x))
-        return _cpow(ts, a)[:, None] * phi_apply(handle, float(m), a + m, ts, x,
-                                                 _inner_scheme(scheme))
+        return _cpow(ts, a)[:, None] * phi_apply(handle, float(m), a + m, ts, x)
 
     pref_tail = gamma(a + m) / (gamma(a) * gamma(m))
     if lam_cut == 0:
@@ -684,7 +673,7 @@ def reproducing_residual(
                        u_max=math.log(max(hi, lam_cut) * 1e8))
         val, _ = _integrate_fixed_lo(tail_integrand, half, decay_hi=m)
         y = pref_tail * val
-        w = lam_cut ** a * phi_apply(handle, 0.0, a, lam_cut, x, scheme)
+        w = lam_cut ** a * phi_apply(handle, 0.0, a, lam_cut, x)
         boundary = np.zeros_like(x)
         term = w
         for k in range(m):

@@ -296,12 +296,16 @@ class OperatorHandle:
         if self.kind == "inverse":
             # (lam + A^{-1})^{-1} = lam^{-1} A (lam^{-1} + A)^{-1}, free of cancellation
             return self.base.l_compose_batch(1.0 / lams, rows) / lams[:, None]
+        return self._schur_solve(lams, rows)
+
+    def _schur_solve(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Per-row row_i -> (shift_i + A)^{-1} row_i for real or complex
+        shifts: (shift + A)^{-1} = Z (shift + T)^{-1} Z^H, one back-substitution
+        on the shifted triangular factor for all rows at once."""
         z, t = self._schur()
-        pivots = lams[:, None] + np.diag(t)[None, :]
+        pivots = shifts[:, None] + np.diag(t)[None, :]
         if np.any(pivots == 0):
             raise SingularResolventError("shifted solve failed: operator not non-negative?")
-        # (lam + A)^{-1} = Z (lam + T)^{-1} Z^H: back-substitution on the
-        # shifted triangular factor, all rows at once
         c = rows @ z.conj()
         w = np.empty_like(c)
         for j in range(self.dim - 1, -1, -1):

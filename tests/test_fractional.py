@@ -24,9 +24,21 @@ from fracbesov.fractional import (
     subordination_kernel,
 )
 from fracbesov.operators import OperatorHandle, build_operator
+from fracbesov.quadrature import QuadratureError
 
 DIAG14 = OperatorHandle.diagonal([1.0, 4.0])
 ONES2 = np.array([1.0, 1.0], dtype=complex)
+UPPER6 = np.diag(np.geomspace(0.3, 8.0, 6)) \
+    + 0.7 * np.triu(np.random.default_rng(5).normal(size=(6, 6)), 1)
+
+
+def _complex_pair():
+    """Dense, non-normal, eigenvalues {1 +- 2i, 0.5, 2, 3} (as in test_operators)."""
+    block = np.zeros((5, 5))
+    block[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    block[2:, 2:] = np.diag([0.5, 2.0, 3.0])
+    s = np.eye(5) + 0.3 * np.random.default_rng(22).normal(size=(5, 5))
+    return s @ block @ np.linalg.inv(s)
 
 
 def _spd(rng, n, lo=0.3, hi=30.0):
@@ -161,6 +173,16 @@ def test_unified_admissibility():
                            ONES2)
 
 
+def test_unified_and_reproducing_on_a_nonnormal_matrix():
+    from scipy.linalg import fractional_matrix_power as fmp
+    h = OperatorHandle.dense(UPPER6)
+    x = np.random.default_rng(8).normal(size=6) + 0j
+    want = fmp(UPPER6, 0.4) @ x
+    got = frac_power_unified(h, 0.4, 0.5, 1.0, x)
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    assert reproducing_residual(h, 0.5, 1, 1.0, x) <= 1e-9
+
+
 def test_unified_nonspectral_composition():
     from scipy.linalg import fractional_matrix_power as fmp
     m = np.array([[1.0, 0.6], [0.0, 2.0]])
@@ -206,8 +228,7 @@ def test_phi_apply_and_frac_power_on_a_block():
 
 @pytest.mark.parametrize("handle", [
     OperatorHandle.diagonal(np.geomspace(0.2, 9.0, 6)),
-    OperatorHandle.dense(np.diag(np.geomspace(0.3, 8.0, 6))
-                         + 0.7 * np.triu(np.random.default_rng(5).normal(size=(6, 6)), 1)),
+    OperatorHandle.dense(UPPER6),
 ], ids=["diagonal", "upper6"])
 @pytest.mark.parametrize("b, g", [(1.0, 2.0), (0.6, 1.3)])
 @pytest.mark.parametrize("shape", [(6,), (3, 6)], ids=["vector", "block"])
@@ -221,6 +242,34 @@ def test_phi_apply_over_an_array_of_shifts(handle, b, g, shape):
     assert got.shape == want.shape
     for row, w in zip(got, want):
         assert np.abs(row - w).max() <= 1e-13 * np.abs(w).max()
+
+
+# (0.0294, 0.5614) at lam = 9.62: fractional parts of beta and gamma - beta
+# below 0.04, too slow a decay for a real-integral representation to truncate
+@pytest.mark.parametrize("make", [lambda: UPPER6, _complex_pair], ids=["upper6", "complex_pair"])
+@pytest.mark.parametrize("b, g", [(0.6, 1.3), (1.0, 2.0), (0.0, 0.5), (1.4, 1.4),
+                                  (0.0294, 0.5614)])
+def test_phi_apply_without_eigen_data_matches_scipy(make, b, g):
+    from scipy.linalg import fractional_matrix_power as fmp
+    m = make()
+    h = OperatorHandle.dense(m)
+    assert h.spectral is None
+    x = np.random.default_rng(9).normal(size=len(m)) + 0j
+    lams = np.append(np.geomspace(1e-4, 1e4, 9), 9.62)
+    for lam, got in zip(lams, phi_apply(h, b, g, lams, x)):
+        want = fmp(m, b) @ fmp(lam * np.eye(len(m)) + m, -g) @ x
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [[[0.0, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [0.0, 2.0]],
+                               [[-1.0, -0.5], [0.5, -1.0]]],
+                         ids=["singular", "negative", "near_negative_axis"])
+def test_contour_route_rejects_eigenvalues_near_the_negative_axis(m):
+    h = OperatorHandle.dense(m)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        phi_apply(h, 0.5, 1.0, 1.0, ONES2)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        power_apply(h, 0.5, ONES2)
 
 
 @pytest.mark.parametrize("handle", [DIAG14, OperatorHandle.dense([[1.0, 0.5], [0.0, 4.0]])],
@@ -240,6 +289,16 @@ def test_power_apply_routes():
     from scipy.linalg import fractional_matrix_power as fmp
     got = power_apply(h, 1.3, x)
     assert np.abs(got - fmp(m, 1.3) @ x).max() <= 1e-6
+
+
+@pytest.mark.parametrize("z", [-0.6, 1.0 + 0.5j, 0.5 + 0.8j])
+def test_power_apply_without_eigen_data(z):
+    from scipy.linalg import expm, logm
+    h = OperatorHandle.dense(UPPER6)
+    x = np.random.default_rng(10).normal(size=6) + 0j
+    want = expm(z * logm(UPPER6)) @ x
+    got = power_apply(h, z, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # -------------------------------------------------------- frac resolvent ----
@@ -269,6 +328,20 @@ def test_frac_resolvent_matches_powered_handle():
     powered = OperatorHandle.frac_power(h, alpha)
     want = powered.resolvent(lam, x)
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.97, 0.99, 0.999])
+def test_frac_resolvent_near_one_certifies_or_raises(alpha):
+    eigs = np.geomspace(1e-2, 1e3, 32)
+    h = OperatorHandle.diagonal(eigs)
+    x = np.ones(32, dtype=complex)
+    if alpha > 0.98:
+        with pytest.raises(QuadratureError, match="trapezoid"):
+            frac_resolvent(h, alpha, 1.0, x)
+        return
+    want = x / (1.0 + eigs ** alpha)
+    got = frac_resolvent(h, alpha, 1.0, x)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_frac_resolvent_range():
