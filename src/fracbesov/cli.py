@@ -169,13 +169,10 @@ def parse_config(source: str) -> RunConfig:
         qd = raw["quadrature"]
         if not isinstance(qd, dict):
             raise ConfigError("quadrature must be an object")
-        bad = set(qd) - {"nodes", "u_min", "u_max", "tail_tolerance"}
+        bad = set(qd) - {"tail_tolerance"}
         if bad:
             raise ConfigError(f"unknown quadrature keys: {sorted(bad)}")
-        try:
-            cfg.scheme = QuadratureScheme(**qd)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"quadrature: {exc}") from exc
+        cfg.scheme = QuadratureScheme(**qd)
 
     if command == "power":
         cfg.exponent = _as_complex_cfg(raw.get("exponent", 0.5), "exponent")
@@ -277,7 +274,7 @@ def _exec_power(cfg: RunConfig) -> int:
         "quadrature": None if diag is None else {
             "u_min": diag.u_min, "u_max": diag.u_max, "nodes": diag.nodes,
             "tail_low": diag.tail_low, "tail_high": diag.tail_high,
-            "widenings": diag.widenings,
+            "widenings": diag.widenings, "discretization": diag.discretization,
         },
         "seed": cfg.seed,
     }

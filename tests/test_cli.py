@@ -48,9 +48,12 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_unknown_quadrature_key_rejected():
-    with pytest.raises(ConfigError, match="unknown quadrature keys: \\['rule'\\]"):
-        parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
-                     '"quadrature": {"rule": "gauss_legendre_panels"}}')
+    # only tail_tolerance is a quadrature setting
+    for key, value in (("rule", '"gauss_legendre_panels"'), ("nodes", "512"),
+                       ("u_min", "-20"), ("u_max", "20")):
+        with pytest.raises(ConfigError, match=f"unknown quadrature keys: \\['{key}'\\]"):
+            parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
+                         f'"quadrature": {{"{key}": {value}}}}}')
 
 
 def test_parse_error_reports_position(tmp_path):
@@ -100,6 +103,7 @@ def test_power_writes_expected_result(tmp_path):
     got = np.array([complex(re, im) for re, im in payload["result"]])
     assert np.abs(got - [1.0, 2.0]).max() <= 1e-8
     assert payload["quadrature"]["nodes"] > 0
+    assert 0.0 <= payload["quadrature"]["discretization"] <= 1e-9 * np.linalg.norm(got)
 
 
 def test_norm_round_trip(tmp_path):

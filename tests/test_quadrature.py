@@ -7,6 +7,7 @@ import pytest
 
 from fracbesov.gammafn import balakrishnan_prefactor, reciprocal_beta_prefactor
 from fracbesov.quadrature import (
+    QuadratureError,
     QuadratureScheme,
     TailCertificationError,
     _legendre_panels,
@@ -24,6 +25,7 @@ def test_beta_integral_anchor(alpha, n):
         QuadratureScheme(tail_tolerance=1e-10), decay_lo=alpha, decay_hi=n - alpha)
     assert abs(pref * val - 1.0) <= 1e-8
     assert diag.tail_bound <= 1e-9 * abs(val)
+    assert diag.discretization <= 1e-10 * abs(val)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -84,12 +86,15 @@ def test_uncertifiable_tail_raises():
     # integrand ~ 1/log-decay only: no exponential tail in u, certification fails
     with pytest.raises(TailCertificationError):
         integrate_multiplicative(
-            lambda lam: 1.0 / (1.0 + np.log(lam) ** 2), 1.0, 1.0,
-            QuadratureScheme(nodes=64))
+            lambda lam: 1.0 / (1.0 + np.log(lam) ** 2), 1.0, 1.0)
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        QuadratureScheme(nodes=4)
-    with pytest.raises(ValueError):
-        QuadratureScheme(u_min=2.0, u_max=1.0)
+def test_unresolvable_integrand_raises():
+    # relative noise of 1e-4 never lets two halving levels agree to 1e-9
+    rng = np.random.default_rng(0)
+
+    def f(lam):
+        return lam ** 0.5 * (1 + lam) ** (-2) * (1.0 + 1e-4 * rng.standard_normal(lam.shape))
+
+    with pytest.raises(QuadratureError, match="discretization"):
+        integrate_multiplicative(f, 1.0, 1.0, decay_lo=0.5, decay_hi=1.5)
