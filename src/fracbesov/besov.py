@@ -9,11 +9,18 @@ aggregated in l_q over a level range: j >= k (inhomogeneous), all of Z
 or replaced by a semigroup block 2^{j(s-beta)} A^beta e^{-2^{-j} A} x. The
 continuous-parameter version integrates the same profile in t.
 
-Infinite level sums are truncated where the blocks enter their certified
-geometric regime (2^j beyond the spectral range); the exact geometric
-remainder is then added in closed form and the residual model error is
-reported as ``tail_bound``. Certification failure raises TailError, never a
-silent truncation.
+Infinite level sums end at a closed-form level. Since A^beta commutes with
+the resolvent, b_j = 2^{j(s - Re beta)} ||(I + 2^{-j} A)^{-a} A^beta x||
+with a = alpha + beta, and the binomial series bounds
+||(I + B)^{-a} - I|| <= (1 - ||B||)^{-|a|} - 1 for every handle. So past
+the level where that bound drops below half the tolerance, every block lies
+within a known factor of a geometric model (see :class:`_TailModel`); the
+model's remainder is added in closed form and the width of the enclosure
+is reported as ``tail_bound``. ||A|| is the spectral scale in the euclidean
+norm and the exact induced norm otherwise (p-norms with p in {1, 2, inf}
+and weighted norms; other p raise NotImplementedError). A sum whose
+enclosure stays wider than the tolerance at |j| = 64 raises TailError,
+never a silent truncation.
 """
 
 from __future__ import annotations
@@ -26,12 +33,11 @@ from typing import Optional
 import numpy as np
 
 from .fractional import SemigroupUnavailableError, _cpow, phi_apply, power_apply
-from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array, vector_norm
+from .operators import (EUCLIDEAN, NormKind, OperatorHandle, _induced_norms, as_array,
+                        vector_norm, vector_norms)
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme, _legendre_panels, golden_section_max
 
 _J_CAP = 64
-_EXTEND_STEP = 8
-_MODEL_WINDOW = 3
 
 
 class TailError(Exception):
@@ -114,7 +120,7 @@ def dyadic_blocks(handle: OperatorHandle, js: np.ndarray, idx: BesovIndex, x,
     a, b = complex(idx.alpha), complex(idx.beta)
     rows = phi_apply(handle, b, a + b, np.exp2(js.astype(float)), x)
     scalef = np.exp2(js * (idx.s + a.real))
-    return scalef * np.array([vector_norm(r, norm) for r in rows])
+    return scalef * vector_norms(rows, norm)
 
 
 # --------------------------------------------------------------------------
@@ -127,107 +133,115 @@ def _lq_aggregate(blocks: np.ndarray, q: float) -> float:
     return float((blocks ** q).sum() ** (1.0 / q))
 
 
-def _geometric_tail(c0: float, ratio: float, q: float) -> float:
-    """l_q mass of the levels c0*ratio, c0*ratio^2, ... (0 < ratio < 1)."""
-    if c0 == 0.0:
-        return 0.0
-    if math.isinf(q):
-        return c0 * ratio
-    rq = ratio ** q
-    return c0 * (rq / (1.0 - rq)) ** (1.0 / q)
-
-
 def _combine(q: float, *parts: float) -> float:
     if math.isinf(q):
         return max(parts)
     return float(sum(p ** q for p in parts) ** (1.0 / q))
 
 
+def _enclose(q: float, head: float, tail: float, e: float) -> tuple[float, float, float]:
+    """head (+) tail and its enclosure [head (+) (1-e) tail, head (+) (1+e) tail]."""
+    spread = e * tail if tail > 0.0 else 0.0
+    return _combine(q, head, tail), _combine(q, head, max(tail - spread, 0.0)), \
+        _combine(q, head, tail + spread)
+
+
+def _operator_radius(handle: OperatorHandle, norm: NormKind) -> float:
+    """||A|| in the operator norm induced by ``norm``: the largest spectral
+    scale in the euclidean norm (|eigenvalues| in a unitary eigenbasis,
+    singular values otherwise), else the exact induced norm of the
+    materialized matrix, which raises NotImplementedError for p-norms with
+    p not in {1, 2, inf}."""
+    sd = handle.spectral
+    if norm.kind == "euclidean" and (sd is None or sd.orthonormal):
+        return handle.scales()[1]
+    return float(_induced_norms(handle.matrix(), norm))
+
+
+@dataclass(frozen=True)
 class _TailModel:
-    """Geometric end model b_j ~ const * 2^{j * rate} with certification."""
+    """Enclosure of the blocks beyond a level: b_j in m_j [1 - e(r_j), 1 + e(r_j)].
 
-    def __init__(self, const: float, rate: float, upward: bool):
-        self.const = const
-        self.rate = rate       # negative for decay toward +inf, positive toward -inf
-        self.upward = upward
+    m_j = const 2^{rate j} is the block with its resolvent factor dropped.
+    Upward, b_j = 2^{j(s - Re beta)} ||(I + B_j)^{-a} A^beta x|| with
+    B_j = 2^{-j} A and a = alpha + beta; downward, b_j = 2^{j(s + Re alpha)}
+    ||(I + B_j)^{-a} A^{-alpha} x|| with B_j = 2^j A^{-1}. The binomial series
+    gives ||(I + B)^{-a} - I|| <= (1 - ||B||)^{-|a|} - 1 for every handle,
+    and ||e^{-tA} - I|| <= e^{t ||A||} - 1 bounds the semigroup blocks
+    (``a_abs=None``). So e(r_j) bounds the deviation at level j, with
+    r_j = r0 2^{-j} upward (r0 = ||A||) and r0 2^j downward (r0 = ||A^{-1}||).
+    """
+    const: float
+    rate: float               # negative for decay toward +inf, positive toward -inf
+    sign: int                 # +1 upward, -1 downward
+    r0: float
+    a_abs: Optional[float]
 
-    def predict(self, j: int) -> float:
-        return self.const * 2.0 ** (self.rate * j)
+    def excess(self, j: float) -> float:
+        """e(r_j), the relative deviation bound of the blocks at level j."""
+        r = self.r0 * 2.0 ** (-self.sign * j)
+        if self.a_abs is None:
+            return math.expm1(r)
+        return math.inf if r >= 1.0 else math.expm1(-self.a_abs * math.log1p(-r))
 
-    def deviation(self, js: np.ndarray, blocks: np.ndarray) -> float:
-        """Max relative mismatch of the last _MODEL_WINDOW blocks against the model."""
-        sel = slice(-_MODEL_WINDOW, None) if self.upward else slice(0, _MODEL_WINDOW)
-        jj, bb = js[sel], blocks[sel]
-        pred = np.array([self.predict(int(j)) for j in jj])
-        if self.const == 0.0:
-            return 0.0 if bb.max(initial=0.0) == 0.0 else math.inf
-        return float(np.max(np.abs(bb / pred - 1.0)))
+    def octaves(self, tolerance: float) -> float:
+        """log2(r0 / r*) with e(r*) = tolerance / 2: the distance from level 0
+        beyond which every block is within tolerance / 2 of the model."""
+        if self.a_abs is None:
+            r_star = math.log1p(0.5 * tolerance)
+        else:
+            r_star = -math.expm1(-math.log1p(0.5 * tolerance) / self.a_abs)
+        return math.log2(max(self.r0, 1e-300) / r_star)
 
     def tail(self, j_edge: int, q: float) -> float:
-        ratio = 2.0 ** (self.rate if self.upward else -self.rate)
-        return _geometric_tail(self.predict(j_edge), ratio, q)
+        """l_q mass of the model levels c0 r, c0 r^2, ... beyond level j_edge."""
+        c0, ratio = self.const * 2.0 ** (self.rate * j_edge), 2.0 ** -abs(self.rate)
+        if c0 == 0.0 or math.isinf(q):
+            return c0 * ratio
+        rq = ratio ** q
+        return c0 * (rq / (1.0 - rq)) ** (1.0 / q)
 
 
-def _certified_sum(blocks_at, handle, q: float, tail_tolerance: float,
-                   j_start: int, upward: bool, model: _TailModel):
+def _certified_sum(blocks_at, q: float, tail_tolerance: float, j_start: int,
+                   model: _TailModel):
     """Aggregate the blocks ``blocks_at(js)`` from j_start outward (up or
-    down) with tail completion, certified against the sum itself."""
-    absolute_floor = 1e-290
-    step = _EXTEND_STEP if upward else -_EXTEND_STEP
-    lo_scale, hi_scale = handle.scales()
-    if upward:
-        j_edge = max(j_start, int(math.ceil(math.log2(max(hi_scale, 1e-300)))) + 10)
-    else:
-        j_edge = min(j_start, int(math.floor(math.log2(max(lo_scale, 1e-300)))) - 10)
-    j_edge = int(np.clip(j_edge, -_J_CAP, _J_CAP))
+    down, as the model says), completed by the model's geometric tail.
 
+    The last level is closed-form: the first one whose outer neighbour has
+    e(r) <= tail_tolerance / 2, clamped to |j| <= 64. The levels in between
+    are evaluated in one call. The true sum then lies in
+    [lo, hi] = [head (+) (1 - e) tail, head (+) (1 + e) tail]; the value is
+    head (+) tail, and the width hi - lo (the callers' ``tail_bound``) is at
+    most 2 e times the value for q >= 1. Returns (value, js, blocks, lo, hi).
+    TailError is raised when the width exceeds tail_tolerance times the
+    value; for q >= 1 only the clamp can cause that.
+    """
     if abs(j_start) > _J_CAP:
         raise TailError(f"base level k={j_start} outside the |j| <= {_J_CAP} cap")
-    js = np.arange(j_start, j_edge + 1) if upward else np.arange(j_edge, j_start + 1)
+    sign = model.sign
+    edge = sign * min(max(sign * j_start, math.ceil(model.octaves(tail_tolerance)) - 1), _J_CAP)
+    js = np.arange(min(j_start, edge), max(j_start, edge) + 1)
     blocks = blocks_at(js)
-    while True:
-        dev = model.deviation(js, blocks)
-        edge = int(js[-1] if upward else js[0])
-        tail = model.tail(edge, q)
-        head = _lq_aggregate(blocks, q)
-        value = _combine(q, head, tail)
-        if math.isfinite(dev):
-            tail_bound = _combine(q, head, tail * (1.0 + 2.0 * dev)) - value
-        else:
-            tail_bound = math.inf
-        if blocks.max(initial=0.0) <= absolute_floor and model.const <= absolute_floor:
-            return 0.0, js, blocks, 0.0
-        if tail_bound <= tail_tolerance * max(value, absolute_floor):
-            return value, js, blocks, tail_bound
-        nxt_edge = edge + step
-        if abs(nxt_edge) > _J_CAP:
-            raise TailError(
-                f"tail not certified within |j| <= {_J_CAP}: deviation={dev:.3e}, "
-                f"tail={tail:.3e}, value={value:.3e} (rate={model.rate}, q={q})")
-        new_js = np.arange(edge + (1 if upward else step), edge + step + (1 if upward else 0)) \
-            if upward else np.arange(nxt_edge, edge)
-        new_blocks = blocks_at(new_js)
-        if upward:
-            js = np.concatenate([js, new_js])
-            blocks = np.concatenate([blocks, new_blocks])
-        else:
-            js = np.concatenate([new_js, js])
-            blocks = np.concatenate([new_blocks, blocks])
+    e = model.excess(edge + sign)
+    value, lo, hi = _enclose(q, _lq_aggregate(blocks, q), model.tail(edge, q), e)
+    if not hi - lo <= tail_tolerance * value:
+        raise TailError(
+            f"tail not certified within |j| <= {_J_CAP}: excess={e:.3e} beyond level "
+            f"{edge}, value={value:.3e} (rate={model.rate}, q={q})")
+    return value, js, blocks, lo, hi
 
 
 def _upper_model(handle, idx, x, norm) -> _TailModel:
-    b = complex(idx.beta)
-    c_up = vector_norm(power_apply(handle, b, x), norm)
-    return _TailModel(c_up, idx.s - b.real, upward=True)
+    a, b = complex(idx.alpha), complex(idx.beta)
+    return _TailModel(vector_norm(power_apply(handle, b, x), norm), idx.s - b.real, 1,
+                      _operator_radius(handle, norm), abs(a + b))
 
 
 def _lower_model(handle, idx, x, norm) -> _TailModel:
-    a = complex(idx.alpha)
-    if a == 0:
-        c_dn = vector_norm(x, norm)
-    else:
-        c_dn = vector_norm(power_apply(OperatorHandle.inverse(handle), a, x), norm)
-    return _TailModel(c_dn, idx.s + a.real, upward=False)
+    a, b = complex(idx.alpha), complex(idx.beta)
+    inv = OperatorHandle.inverse(handle)
+    return _TailModel(vector_norm(power_apply(inv, a, x), norm), idx.s + a.real, -1,
+                      _operator_radius(inv, norm), abs(a + b))
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +258,9 @@ def inhom_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
     model = _upper_model(handle, idx, x, norm)
     blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
-    ssum, js, blocks, tail_bound = _certified_sum(
-        blocks_at, handle, idx.q, tail_tolerance, idx.k, True, model)
+    ssum, js, blocks, lo, hi = _certified_sum(blocks_at, idx.q, tail_tolerance, idx.k, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
-    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
+    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
 
 
 def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
@@ -262,18 +275,17 @@ def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
         raise ValueError("homogeneous quasi-norm needs an injective operator")
     x = as_array(x)
     blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
-    up, js_u, blocks_u, tb_u = _certified_sum(
-        blocks_at, handle, idx.q, tail_tolerance, 0, True,
-        _upper_model(handle, idx, x, norm))
-    dn, js_d, blocks_d, tb_d = _certified_sum(
-        blocks_at, handle, idx.q, tail_tolerance, -1, False,
-        _lower_model(handle, idx, x, norm))
+    up, js_u, blocks_u, lo_u, hi_u = _certified_sum(
+        blocks_at, idx.q, tail_tolerance, 0, _upper_model(handle, idx, x, norm))
+    dn, js_d, blocks_d, lo_d, hi_d = _certified_sum(
+        blocks_at, idx.q, tail_tolerance, -1, _lower_model(handle, idx, x, norm))
     value = _combine(idx.q, up, dn)
+    tail_bound = _combine(idx.q, hi_u, hi_d) - _combine(idx.q, lo_u, lo_d)
     trace = None
     if keep_trace:
         trace = list(zip(js_d.tolist(), blocks_d.tolist())) + \
             list(zip(js_u.tolist(), blocks_u.tolist()))
-    return NormResult(value, 0.0, value, int(js_d[0]), int(js_u[-1]), tb_u + tb_d, trace)
+    return NormResult(value, 0.0, value, int(js_d[0]), int(js_u[-1]), tail_bound, trace)
 
 
 def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
@@ -289,11 +301,10 @@ def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     b = complex(idx.beta)
     lead = vector_norm(phi_apply(handle, b, b, 2.0 ** idx.k, x), norm)
     blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
-    ssum, js, blocks, tail_bound = _certified_sum(
-        blocks_at, handle, idx.q, tail_tolerance, idx.k, False,
-        _lower_model(handle, idx, x, norm))
+    ssum, js, blocks, lo, hi = _certified_sum(
+        blocks_at, idx.q, tail_tolerance, idx.k, _lower_model(handle, idx, x, norm))
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
-    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
+    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
 
 
 def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
@@ -318,13 +329,13 @@ def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
         mult = _cpow(sd.eigenvalues, b)[None, :] * np.exp(-ts[:, None] * sd.eigenvalues[None, :])
         rows = sd.from_coeff(mult * coeff[None, :])
         scalef = np.exp2(js * (s - b.real))
-        return scalef * np.array([vector_norm(r, norm) for r in rows])
+        return scalef * vector_norms(rows, norm)
 
-    model = _TailModel(vector_norm(power_apply(handle, b, x), norm), s - b.real, upward=True)
-    ssum, js, blocks, tail_bound = _certified_sum(blocks_at, handle, q, tail_tolerance,
-                                                  k, True, model)
+    model = _TailModel(vector_norm(power_apply(handle, b, x), norm), s - b.real, 1,
+                       _operator_radius(handle, norm), None)
+    ssum, js, blocks, lo, hi = _certified_sum(blocks_at, q, tail_tolerance, k, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
-    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), tail_bound, trace)
+    return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
 
 
 # --------------------------------------------------------------------------
@@ -336,54 +347,40 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
                           norm: NormKind = EUCLIDEAN) -> NormResult:
     """||(2^k+A)^{-alpha} x|| + ( int_{2^k}^inf (t^{s+alpha} profile)^q dt/t )^{1/q}.
 
-    Gauss-Legendre panels in u = ln t; the upper tail is completed with the
-    exact exponential remainder of the geometric regime.
+    Gauss-Legendre panels in u = ln t up to the closed-form end
+    u_max = ln(r0 / r*) of the upper :class:`_TailModel`; beyond it the
+    exponential remainder of the model is added exactly and its enclosure
+    width is ``tail_bound``. The panel discretization is not certified.
     """
     x = as_array(x)
     a, b = complex(idx.alpha), complex(idx.beta)
     lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
-    c_up = vector_norm(power_apply(handle, b, x), norm)
-    rate = idx.s - b.real     # g(u) ~ c_up * e^{rate * u}
-    _, hi_scale = handle.scales()
+    model = _upper_model(handle, idx, x, norm)
+    tol = scheme.tail_tolerance
 
     def g_many(us: np.ndarray) -> np.ndarray:
         rows = phi_apply(handle, b, a + b, np.exp(us), x)
-        return np.exp(us * (idx.s + a.real)) * np.array([vector_norm(r, norm) for r in rows])
+        return np.exp(us * (idx.s + a.real)) * vector_norms(rows, norm)
 
     u_min = idx.k * math.log(2.0)
-    u_max = max(u_min + 1.0, math.log(max(hi_scale, 1e-300)) + 25.0)
-    tol = scheme.tail_tolerance
-    for _ in range(40):
-        panels = max(4, int(math.ceil((u_max - u_min) / (0.5 * math.log(2.0)))))
-        us, ws = _legendre_panels(u_min, u_max, panels)
-        gs = g_many(us)
-        g_end = g_many(np.array([u_max]))[0]
-        model_end = c_up * math.exp(rate * u_max)
-        dev = abs(g_end / model_end - 1.0) if model_end > 0 else (0.0 if g_end == 0 else math.inf)
-        if math.isinf(idx.q):
-            i_star = int(np.argmax(gs))
-            lo_b = us[i_star - 1] if i_star > 0 else u_min
-            hi_b = us[i_star + 1] if i_star + 1 < len(us) else u_max
-            _, g_star = golden_section_max(lambda u: g_many(np.array([u]))[0], lo_b, hi_b)
-            g_star = max(g_star, float(g_many(np.array([u_min]))[0]))
-            tail_sup = model_end
-            ssum = max(g_star, tail_sup)
-            tail_bound = max(g_star, tail_sup * (1.0 + 2.0 * dev)) - ssum if math.isfinite(dev) else math.inf
-        else:
-            integral = float(np.dot(ws, gs ** idx.q))
-            tail = (c_up ** idx.q) * math.exp(rate * idx.q * u_max) / max((b.real - idx.s) * idx.q, 1e-300)
-            ssum = (integral + tail) ** (1.0 / idx.q)
-            if math.isfinite(dev):
-                tail_bound = (integral + tail * (1.0 + 2.0 * dev) ** idx.q) ** (1.0 / idx.q) - ssum
-            else:
-                tail_bound = math.inf
-        if gs.max(initial=0.0) <= 1e-290 and c_up <= 1e-290:
-            ssum, tail_bound = 0.0, 0.0
-            break
-        if tail_bound <= tol * max(lead + ssum, 1e-290):
-            break
-        u_max += 8.0
+    u_max = max(u_min + 1.0, model.octaves(tol) * math.log(2.0))
+    model_end = model.const * math.exp(model.rate * u_max)
+    panels = max(4, int(math.ceil((u_max - u_min) / (0.5 * math.log(2.0)))))
+    us, ws = _legendre_panels(u_min, u_max, panels)
+    gs = g_many(us)
+    if math.isinf(idx.q):
+        i_star = int(np.argmax(gs))
+        lo_b = us[i_star - 1] if i_star > 0 else u_min
+        hi_b = us[i_star + 1] if i_star + 1 < len(us) else u_max
+        _, g_star = golden_section_max(lambda u: g_many(np.array([u]))[0], lo_b, hi_b)
+        head, tail = max(g_star, float(g_many(np.array([u_min]))[0])), model_end
     else:
-        raise TailError("continuous-norm tail not certified")
+        # l_q norms of the panel integral and of the exact model remainder
+        head = float(np.dot(ws, gs ** idx.q)) ** (1.0 / idx.q)
+        tail = model_end * (-model.rate * idx.q) ** (-1.0 / idx.q)
+    e = model.excess(u_max / math.log(2.0))
+    ssum, lo, hi = _enclose(idx.q, head, tail, e)
+    if not hi - lo <= tol * (lead + ssum):
+        raise TailError(f"continuous-norm tail not certified: excess={e:.3e} at u={u_max:.3g}")
     j_hi = int(math.ceil(u_max / math.log(2.0)))
-    return NormResult(lead + ssum, lead, ssum, idx.k, j_hi, tail_bound, None)
+    return NormResult(lead + ssum, lead, ssum, idx.k, j_hi, hi - lo, None)

@@ -30,6 +30,7 @@ import numpy as np
 from . import reference as ref
 from .besov import (
     BesovIndex,
+    _lq_aggregate,
     breve_quasi_norm,
     continuous_quasi_norm,
     dyadic_blocks,
@@ -354,12 +355,6 @@ def _fail_record(i, **kw):
     return rec
 
 
-def _agg(blocks: np.ndarray, q: float) -> float:
-    if math.isinf(q):
-        return float(blocks.max(initial=0.0))
-    return float((blocks ** q).sum() ** (1.0 / q))
-
-
 # --------------------------------------------------------------------------
 # check implementations (runner(samples, backend, tol) -> CheckOutcome)
 # --------------------------------------------------------------------------
@@ -484,7 +479,7 @@ def _run_embed_q(samples, backend, tol):
         out.samples += 1
         blocks = dyadic_blocks(s.handle, js, idx0, s.x)
         for q, q1 in q_pairs:
-            lo_agg, hi_agg = _agg(blocks, q1), _agg(blocks, q)
+            lo_agg, hi_agg = _lq_aggregate(blocks, q1), _lq_aggregate(blocks, q)
             gap = lo_agg - hi_agg
             if gap > tol.exact_slack * max(hi_agg, 1e-300):
                 out.violations.append(_fail_record(i, q=q, q1=q1, gap=gap))
@@ -502,13 +497,13 @@ def _run_embed_s(samples, backend, tol):
         b_hi = dyadic_blocks(smp.handle, js, idx_hi, smp.x)
         b_lo = np.exp2(js * (s_lo - s_hi)) * b_hi      # blocks at smoothness s_lo
         for q in (0.5, 1.5, math.inf):
-            gap = _agg(b_lo, q) - _agg(b_hi, q)
-            if gap > tol.exact_slack * max(_agg(b_hi, q), 1e-300):
+            gap = _lq_aggregate(b_lo, q) - _lq_aggregate(b_hi, q)
+            if gap > tol.exact_slack * max(_lq_aggregate(b_hi, q), 1e-300):
                 out.violations.append(_fail_record(i, q=q, gap=gap, part="termwise"))
         for p, q in pq_pairs:
             c_holder = (1.0 / (1.0 - 2.0 ** ((s_lo - s_hi) * q * p / (q - p)))) ** (1.0 / p - 1.0 / q)
-            gap = _agg(b_lo, p) - c_holder * _agg(b_hi, q)
-            if gap > tol.exact_slack * max(c_holder * _agg(b_hi, q), 1e-300):
+            gap = _lq_aggregate(b_lo, p) - c_holder * _lq_aggregate(b_hi, q)
+            if gap > tol.exact_slack * max(c_holder * _lq_aggregate(b_hi, q), 1e-300):
                 out.violations.append(_fail_record(i, p=p, q=q, gap=gap, part="hoelder"))
     return out
 
@@ -834,7 +829,7 @@ def _run_ellq_operator(samples, backend, tol):
             for alpha in (0.3, 0.6):
                 b_seq = _ellq_apply(a_seq, i_idx, s_p, alpha, j_idx)
                 for q in (0.5, 1.0, 2.0, math.inf):
-                    r = _agg(np.abs(b_seq), q) / max(_agg(a_seq, q), 1e-300)
+                    r = _lq_aggregate(np.abs(b_seq), q) / max(_lq_aggregate(a_seq, q), 1e-300)
                     out.ratios.append(r)
     return out
 
@@ -906,7 +901,7 @@ def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
     else:
         mats = [power_apply(OperatorHandle.shifted(handle, c_ratio * lam), a, rows)
                 for lam, rows in zip(lams, phi_apply(handle, 0.0, a, lams, basis))]
-    return np.array([float(np.linalg.norm(m, 2)) for m in mats])
+    return np.linalg.norm(np.asarray(mats), 2, axis=(-2, -1))
 
 
 def _run_moment(samples, backend, tol):
@@ -941,9 +936,8 @@ def _run_spectral_map(samples, backend, tol):
         out.samples += 1
         sd = s.handle.spectral
         for a in (0.5, 2.0, 0.7 + 0.4j):
-            basis = np.eye(s.handle.dim, dtype=complex)
-            mat = np.stack([spectral_frac_power(s.handle, a, basis[k])
-                            for k in range(s.handle.dim)], axis=1)
+            # rows of the block are the images of the basis vectors
+            mat = spectral_frac_power(s.handle, a, np.eye(s.handle.dim, dtype=complex)).T
             got = np.sort_complex(np.linalg.eigvals(mat))
             mu = sd.eigenvalues.astype(complex)
             want = np.zeros_like(mu)
@@ -972,7 +966,7 @@ def _lp_fourier_norm(x: np.ndarray, smoothness: float, q: float) -> float:
         if mask.any():
             blocks.append(2.0 ** (j * smoothness) * np.linalg.norm(c[mask]))
         j += 1
-    return lead + _agg(np.asarray(blocks), q)
+    return lead + _lq_aggregate(np.asarray(blocks), q)
 
 
 def _run_classical_torus(samples, backend, tol):

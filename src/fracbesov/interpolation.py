@@ -77,9 +77,8 @@ class _CoupleGeometry:
             self._to = s.to_coeff
             self._from = s.from_coeff
         else:
-            n = handle.dim
-            basis = np.eye(n, dtype=complex)
-            cmat = np.stack([frac_power(handle, alpha, basis[i]) for i in range(n)], axis=1)
+            # rows of the block are the images of the basis vectors
+            cmat = frac_power(handle, alpha, np.eye(handle.dim, dtype=complex)).T
             bmat = cmat.conj().T @ cmat
             sig, u = np.linalg.eigh(0.5 * (bmat + bmat.conj().T))
             self.sigma = np.clip(sig.real, 0.0, None)

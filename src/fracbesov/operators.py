@@ -59,16 +59,21 @@ class NormKind:
 EUCLIDEAN = NormKind()
 
 
-def vector_norm(x: np.ndarray, norm: NormKind = EUCLIDEAN) -> float:
-    x = np.asarray(x)
+def vector_norms(rows: np.ndarray, norm: NormKind = EUCLIDEAN) -> np.ndarray:
+    """Norms of the rows of ``rows`` (taken along the last axis)."""
+    rows = np.asarray(rows)
     if norm.kind == "euclidean":
-        return float(np.linalg.norm(x.ravel()))
+        return np.linalg.norm(rows, axis=-1)
+    a = np.abs(rows)
     if norm.kind == "p":
-        a = np.abs(x.ravel())
         if math.isinf(norm.p):
-            return float(a.max(initial=0.0))
-        return float((a ** norm.p).sum() ** (1.0 / norm.p))
-    return float(np.sqrt((norm.weights * np.abs(x.ravel()) ** 2).sum()))
+            return a.max(axis=-1, initial=0.0)
+        return (a ** norm.p).sum(axis=-1) ** (1.0 / norm.p)
+    return np.sqrt((norm.weights * a ** 2).sum(axis=-1))
+
+
+def vector_norm(x: np.ndarray, norm: NormKind = EUCLIDEAN) -> float:
+    return float(vector_norms(np.ravel(x), norm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,8 +335,8 @@ class OperatorHandle:
     def _materialize(self) -> np.ndarray:
         s = self.spectral
         if s is not None:
-            basis = np.eye(self.dim, dtype=complex)
-            return np.stack([self.apply(basis[i]) for i in range(self.dim)], axis=1)
+            # rows of the result are the images of the basis vectors
+            return self.apply(np.eye(self.dim, dtype=complex)).T
         if self.kind == "shifted":
             return self.base.matrix() + self.param * np.eye(self.dim)
         if self.kind == "inverse":
@@ -399,8 +404,8 @@ class OperatorHandle:
 
 def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
     """Exact induced norms of a stack (..., n, n): the largest singular value
-    for euclidean and weighted norms, column/row sums for p in {1, inf}."""
-    if norm.kind == "euclidean" or norm.kind == "weighted":
+    for euclidean, weighted and p = 2 norms, column/row sums for p in {1, inf}."""
+    if norm.kind in ("euclidean", "weighted") or norm.p == 2:
         if norm.kind == "weighted":
             d = np.sqrt(norm.weights)
             mats = (d[:, None] * mats) / d[None, :]
@@ -409,7 +414,7 @@ def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
         return np.abs(mats).sum(axis=-2).max(axis=-1)
     if math.isinf(norm.p):
         return np.abs(mats).sum(axis=-1).max(axis=-1)
-    raise NotImplementedError("induced norms support euclidean, weighted and p in {1, inf}")
+    raise NotImplementedError("induced norms support euclidean, weighted and p in {1, 2, inf}")
 
 
 def _resolvent_norms(handle: OperatorHandle, lams: np.ndarray,

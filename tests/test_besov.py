@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import fractional_matrix_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from fracbesov.besov import (
     inhom_quasi_norm,
     semigroup_quasi_norm,
 )
-from fracbesov.operators import OperatorHandle
+from fracbesov.harness import run_check
+from fracbesov.operators import NormKind, OperatorHandle
 
 DIAG14 = OperatorHandle.diagonal([1.0, 4.0])
 DIAG1 = OperatorHandle.diagonal([1.0])
@@ -34,6 +36,8 @@ HOMOG_SCALAR = 2.8853900817968599      # sum_Z 2^j / (2^j+1)^{3/2}
 SEMIGROUP_DIAG14 = 3.3033358154279971  # sqrt(2) + l2 sum for diag(1,4)
 SEMIGROUP_SUP_SCALAR = 1.4288819424803534
 CONT_SCALAR = 1.7071067811865475       # 1 + sqrt(1/2)
+WIDE_INHOM = 31862304.287024318        # diag(1, 2^50), x = (1, 1), (s,q,k,a,b) = (0.5,2,0,0.3,1)
+SLOW_INHOM = 3310.44045786276          # diag(1e-9, 1), x = (1, 1), (s,q,k,a,b) = (0.95,0.5,0,0,1)
 
 
 # ---------------------------------------------------------------- blocks ----
@@ -382,3 +386,77 @@ def test_norm_result_tail_invariant():
     r2 = inhom_quasi_norm(DIAG14, BesovIndex(0.5, 2.0, 0, 0.0, 1.0), ONES2,
                           keep_trace=True)
     assert r2.term_trace is not None and r2.term_trace[0][0] == 0
+
+
+# ------------------------------------------------------- closed-form tails ----
+
+def _nonnormal6():
+    rng = np.random.default_rng(11)
+    mat = np.triu(rng.normal(scale=0.4, size=(6, 6)), 1) + np.diag(np.geomspace(0.5, 4.0, 6))
+    x = rng.normal(size=6) + 1j * rng.normal(size=6)
+    return mat, x
+
+
+def _direct_blocks(mat, idx, x, js, ord=2):
+    """Dyadic blocks from scipy's fractional_matrix_power, one level at a time."""
+    a, b = float(idx.alpha), float(idx.beta)
+    a_beta = fractional_matrix_power(mat, b)
+    out = []
+    for j in js:
+        res = fractional_matrix_power(2.0 ** j * np.eye(len(x)) + mat, -(a + b))
+        out.append(2.0 ** (j * (idx.s + a)) * np.linalg.norm(a_beta @ res @ x, ord))
+    return np.array(out)
+
+
+def _lq(blocks, q):
+    return blocks.max() if math.isinf(q) else (blocks ** q).sum() ** (1.0 / q)
+
+
+def test_wide_spectrum_certified_at_the_level_cap():
+    # the model tail starts at the |j| <= 64 cap, 14 octaves past ||A||
+    h = OperatorHandle.diagonal([1.0, 2.0 ** 50])
+    r = inhom_quasi_norm(h, BesovIndex(0.5, 2.0, 0, 0.3, 1.0), ONES2)
+    assert r.tail_bound <= 1e-8 * r.value
+    assert r.j_range_used == (0, 64)
+    assert abs(r.value - WIDE_INHOM) <= r.tail_bound + 1e-12 * WIDE_INHOM
+
+
+def test_slow_tail_enclosure_covers_the_frozen_sum():
+    # s close to Re beta and q = 1/2: the model tail carries most of the mass
+    h = OperatorHandle.diagonal([1e-9, 1.0])
+    r = inhom_quasi_norm(h, BesovIndex(0.95, 0.5, 0, 0.0, 1.0), ONES2)
+    assert r.tail_bound <= 1e-8 * r.value
+    assert abs(r.value - SLOW_INHOM) <= r.tail_bound
+
+
+@pytest.mark.parametrize("idx", [BesovIndex(0.3, 2.0, 0, 0.4, 1.0),
+                                 BesovIndex(-0.2, 1.0, 0, 0.5, 0.8)])
+def test_nonnormal_homog_matches_direct_sum(idx):
+    mat, x = _nonnormal6()
+    r = homog_quasi_norm(OperatorHandle.dense(mat), idx, x)
+    assert r.tail_bound <= 1e-8 * r.value
+    want = _lq(_direct_blocks(mat, idx, x, range(-200, 91)), idx.q)
+    assert abs(r.value - want) <= r.tail_bound + 1e-10 * want
+
+
+def test_p1_norm_certified_against_direct_sum():
+    mat, x = _nonnormal6()
+    idx = BesovIndex(0.4, 1.0, -2, 0.2, 1.0)
+    r = inhom_quasi_norm(OperatorHandle.dense(mat), idx, x, norm=NormKind("p", p=1.0))
+    assert r.tail_bound <= 1e-8 * r.value
+    res = fractional_matrix_power(2.0 ** idx.k * np.eye(6) + mat, -float(idx.alpha))
+    want = np.linalg.norm(res @ x, 1) + _lq(_direct_blocks(mat, idx, x, range(-2, 91), 1), 1.0)
+    assert abs(r.value - want) <= r.tail_bound + 1e-10 * want
+
+
+def test_p_norm_without_induced_formula_raises():
+    with pytest.raises(NotImplementedError):
+        inhom_quasi_norm(DIAG14, BesovIndex(0.5, 2.0, 0, 0.0, 1.0), ONES2,
+                         norm=NormKind("p", p=3.0))
+
+
+@pytest.mark.parametrize("check_id", ["inverse_breve", "inverse_homog"])
+@pytest.mark.parametrize("seed", [3, 14])
+def test_inverse_identity_checks_pass_at_more_seeds(check_id, seed):
+    # each identity compares two separately certified level sums
+    assert run_check(check_id, seed=seed).verdict == "pass"
