@@ -182,6 +182,11 @@ def parse_config(source: str) -> RunConfig:
         cfg.variant = raw.get("variant", "inhomogeneous")
         if cfg.variant not in _NORM_VARIANTS:
             raise ConfigError(f"variant must be one of {_NORM_VARIANTS}")
+        own, other = (("quadrature.tail_tolerance", "tail_tolerance")
+                      if cfg.variant == "continuous" else ("tail_tolerance", "quadrature"))
+        if other in raw:
+            raise ConfigError(f"key {other!r} does not apply to the {cfg.variant!r} "
+                              f"variant; its tolerance is {own!r}")
         try:
             cfg.index = BesovIndex(
                 s=float(raw.get("s", 0.5)),

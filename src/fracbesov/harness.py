@@ -126,13 +126,6 @@ def _sample_vector(spec: EnsembleSpec, handle: OperatorHandle,
     name = spec.sampler
     if name == "gaussian":
         return rng.normal(size=n) + 1j * rng.normal(size=n)
-    if name == "eigen_directions":
-        if handle.spectral is None:
-            raise ValueError("eigen_directions needs spectral data")
-        c = np.zeros(n, dtype=complex)
-        picks = rng.choice(n, size=min(2, n), replace=False)
-        c[picks] = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
-        return handle.spectral.from_coeff(c)
     if name == "band_limited":
         if handle.spectral is None:
             raise ValueError("band_limited needs spectral data")

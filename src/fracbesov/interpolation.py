@@ -271,7 +271,7 @@ def interpolation_norm(
             total, diag = integrate_multiplicative(
                 integrand, 1.0 / curve.sig.max(), 1.0 / curve.sig.min(), scheme,
                 decay_lo=1.0, decay_hi=1.0)
-            integral, spill = float(total), diag.tail_bound
+            integral, spill = float(total), diag.tail_bound + diag.discretization
         value = (integral + tails) ** (1.0 / q)
         bound = (integral + tails + spill) ** (1.0 / q) - value
     j_lo = int(math.floor(math.log2(t0)))

@@ -13,6 +13,10 @@ window until the estimated tails fall below the scheme's tolerance, then
 halves the step, reusing every node, until two successive levels agree to
 the same tolerance. A window or a step that cannot be certified raises
 instead of returning a silently truncated or under-resolved value.
+
+Other ranges are mapped onto (0, inf) first: a fixed lower limit by
+``lambda = c (1 + mu)``, a finite range [u_min, u_max] of length L by
+``u = u_min + ln((1 + mu) / (1 + mu e^{-L}))``.
 """
 
 from __future__ import annotations
@@ -62,19 +66,6 @@ class QuadratureDiagnostics:
     @property
     def tail_bound(self) -> float:
         return self.tail_low + self.tail_high
-
-
-def _legendre_panels(u_min: float, u_max: float, panels: int):
-    """Nodes and weights of ``panels`` equal-width panels on [u_min, u_max],
-    with a 16-point Gauss-Legendre rule on each: the rule for integrals with
-    a fixed endpoint, where the trapezoid rule would pay an O(h^2) penalty."""
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(u_min, u_max, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return u, w
 
 
 def _end_rate(u: np.ndarray, mags: np.ndarray, left: bool) -> tuple[float, bool]:

@@ -4,6 +4,11 @@ Everything here is plain scalar arithmetic with long direct sums and dense
 grids: no tail models, no operator handles, no shared code with the
 production evaluators. These are the oracles used to calibrate the
 equivalence-ratio ceilings and to pin expected values in tests.
+
+The level sums work with the logs of their terms: each block is a
+log-sum-exp over the eigen-terms and the l_q aggregate a logaddexp over the
+blocks, so neither 2^{j(s+alpha)} nor the resolvent factor can overflow or
+underflow over the 500-level span.
 """
 
 from __future__ import annotations
@@ -12,44 +17,55 @@ import math
 
 import numpy as np
 
-_TERM_FLOOR = 1e-22
 _J_SPAN = 500
 
 
+def _log_terms(eigs, absx2, re_b):
+    """log(eigs^{2 re_b} |x|^2) per eigen-term, with 0^0 = 1, and log eigs
+    (-inf where an eigenvalue is not positive)."""
+    with np.errstate(divide="ignore"):
+        log_e = np.log(np.where(eigs > 0, eigs, 0.0))
+        return (2 * re_b * log_e if re_b else 0.0) + np.log(absx2), log_e
+
+
+def _log_row_norms(terms):
+    """log sqrt(sum_i exp(terms_i)) per row: a log-sum-exp shifted by each
+    row's largest term."""
+    top = terms.max(axis=1)
+    top = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return 0.5 * (top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+
+
 def _blocks(eigs, absx2, s, re_a, re_b, js):
-    """Exact dyadic block magnitudes on a diagonal spectrum (euclidean norm)."""
-    with np.errstate(over="ignore", under="ignore"):
-        lam = np.exp2(np.asarray(js, dtype=float))[:, None]
-        mult2 = np.zeros((len(js), len(eigs)))
-        pos = eigs > 0
-        mult2[:, pos] = eigs[pos] ** (2 * re_b) * (lam + eigs[pos]) ** (-2 * (re_a + re_b))
-        if re_b == 0:
-            mult2[:, ~pos] = lam ** (-2 * re_a)
-        norms = np.sqrt((mult2 * absx2[None, :]).sum(axis=1))
-        return np.exp2(np.asarray(js, dtype=float) * (s + re_a)) * norms
+    """Logs of the exact dyadic block magnitudes on a diagonal spectrum
+    (euclidean norm); -inf for a zero block."""
+    ju = np.asarray(js, dtype=float) * math.log(2.0)
+    base, log_e = _log_terms(eigs, absx2, re_b)
+    rows = base - 2 * (re_a + re_b) * np.logaddexp(ju[:, None], log_e)
+    return ju * (s + re_a) + _log_row_norms(rows)
 
 
-def _floor(peak: float, q: float) -> float:
-    # the l_q mass of a dropped term is (b/peak)^q: make the cut q-aware so
-    # small q (heavy-tailed aggregation) keeps correspondingly more terms
-    if math.isinf(q):
-        return peak * _TERM_FLOOR
-    return peak * max(10.0 ** (-22.0 / min(q, 1.0)), 1e-280)
+def _aggregate(log_terms, q, low=False, high=False):
+    """l_q mass of the terms with the given logs.
 
-
-def _aggregate(terms, q, tail_low=False, tail_high=False):
-    """l_q mass of the listed terms plus empirical geometric remainders at
-    the decaying end(s)."""
-    terms = np.asarray(terms, dtype=float)
-    if math.isinf(q):
-        return float(terms.max(initial=0.0))
-    total = float((terms ** q).sum())
-    for take in (("high",) if tail_high else ()) + (("low",) if tail_low else ()):
-        t = terms if take == "high" else terms[::-1]
-        if len(t) >= 2 and 0.0 < t[-1] < t[-2]:
-            rq = (t[-1] / t[-2]) ** q
-            total += t[-1] ** q * rq / (1.0 - rq)
-    return float(total ** (1.0 / q))
+    At each decaying end listed (``low``, ``high``) the terms below a floor
+    under the peak are dropped and an empirical geometric remainder is
+    added. The l_q mass of a dropped term is (b/peak)^q, so the floor is
+    q-aware: small q (heavy-tailed aggregation) keeps more terms.
+    """
+    lt = np.asarray(log_terms, dtype=float)
+    lpeak = lt.max(initial=-np.inf)
+    if math.isinf(q) or lpeak == -np.inf:
+        return float(np.exp(lpeak))
+    keep = np.nonzero(lt > lpeak + math.log(10.0) * max(-22.0 / min(q, 1.0), -280.0))[0]
+    lt = lt[keep[0] if low else 0: keep[-1] + 1 if high else None]
+    total = float(np.logaddexp.reduce(q * lt))
+    for t in ([lt] if high else []) + ([lt[::-1]] if low else []):
+        if len(t) >= 2 and t[-1] < t[-2]:
+            lrq = q * (t[-1] - t[-2])
+            total = np.logaddexp(total, q * t[-1] + lrq - math.log(-math.expm1(lrq)))
+    return float(np.exp(total / q))
 
 
 def sum_part(eigs, x, s, q, k, alpha, beta) -> float:
@@ -57,13 +73,8 @@ def sum_part(eigs, x, s, q, k, alpha, beta) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    js = np.arange(k, k + _J_SPAN)
-    b = _blocks(eigs, absx2, s, re_a, re_b, js)
-    peak = b.max(initial=0.0)
-    if peak > 0:
-        keep = np.nonzero(b > _floor(peak, q))[0]
-        b = b[: keep[-1] + 1] if keep.size else b[:1]
-    return _aggregate(b, q, tail_high=True)
+    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(k, k + _J_SPAN))
+    return _aggregate(b, q, high=True)
 
 
 def leading_term(eigs, x, k, alpha) -> float:
@@ -81,29 +92,17 @@ def homog_norm(eigs, x, s, q, alpha=0.0, beta=1.0) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    js = np.arange(-_J_SPAN, _J_SPAN)
-    b = _blocks(eigs, absx2, s, re_a, re_b, js)
-    peak = b.max(initial=0.0)
-    if peak > 0:
-        keep = np.nonzero(b > _floor(peak, q))[0]
-        if keep.size:
-            b = b[keep[0]: keep[-1] + 1]
-    return _aggregate(b, q, tail_low=True, tail_high=True)
+    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(-_J_SPAN, _J_SPAN))
+    return _aggregate(b, q, low=True, high=True)
 
 
 def breve_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    js = np.arange(k - _J_SPAN, k + 1)
-    b = _blocks(eigs, absx2, s, re_a, re_b, js)
+    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(k - _J_SPAN, k + 1))
     lead = float(np.sqrt((absx2 * (eigs ** re_b * (2.0 ** k + eigs) ** (-re_b)) ** 2).sum()))
-    peak = b.max(initial=0.0)
-    if peak > 0:
-        keep = np.nonzero(b > _floor(peak, q))[0]
-        if keep.size:
-            b = b[keep[0]:]
-    return lead + _aggregate(b, q, tail_low=True)
+    return lead + _aggregate(b, q, low=True)
 
 
 def continuous_sum_part(eigs, x, s, q, k, alpha, beta, du=2e-3) -> float:
@@ -127,33 +126,10 @@ def semigroup_sum_part(eigs, x, s, q, k, beta) -> float:
     absx2 = np.abs(np.asarray(x)) ** 2
     re_b = complex(beta).real
     js = np.arange(k, k + _J_SPAN)
-    t = np.exp2(-js.astype(float))[:, None]
-    mult2 = eigs ** (2 * re_b) * np.exp(-2.0 * t * eigs)
-    terms = np.exp2(js * (s - re_b)) * np.sqrt((mult2 * absx2[None, :]).sum(axis=1))
-    peak = terms.max(initial=0.0)
-    if peak > 0:
-        keep = np.nonzero(terms > _floor(peak, q))[0]
-        terms = terms[: keep[-1] + 1] if keep.size else terms[:1]
-    return _aggregate(terms, q, tail_high=True)
-
-
-def homog_semigroup_part(eigs, x, s, q, beta) -> float:
-    eigs = np.asarray(eigs, dtype=float)
-    absx2 = np.abs(np.asarray(x)) ** 2
-    re_b = complex(beta).real
-    js = np.arange(-_J_SPAN, _J_SPAN)
-    t = np.exp2(-js.astype(float))[:, None]
-    with np.errstate(over="ignore"):
-        expf = np.exp(-2.0 * np.minimum(t * eigs, 1e6))
-    mult2 = eigs ** (2 * re_b) * expf
-    terms = np.exp2(js * (s - re_b)) * np.sqrt((mult2 * absx2[None, :]).sum(axis=1))
-    terms = terms[np.isfinite(terms)]
-    peak = terms.max(initial=0.0)
-    if peak > 0:
-        keep = np.nonzero(terms > _floor(peak, q))[0]
-        if keep.size:
-            terms = terms[: keep[-1] + 1]
-    return _aggregate(terms, q, tail_high=True)
+    base, _ = _log_terms(eigs, absx2, re_b)
+    rows = base - 2.0 * np.exp2(-js.astype(float))[:, None] * eigs
+    terms = js * math.log(2.0) * (s - re_b) + _log_row_norms(rows)
+    return _aggregate(terms, q, high=True)
 
 
 def k_functional(eigs, x, alpha, t, n_mu=1200) -> float:

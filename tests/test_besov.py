@@ -460,3 +460,82 @@ def test_p_norm_without_induced_formula_raises():
 def test_inverse_identity_checks_pass_at_more_seeds(check_id, seed):
     # each identity compares two separately certified level sums
     assert run_check(check_id, seed=seed).verdict == "pass"
+
+
+# --------------------------------------------- certified continuous head ----
+
+CONT_EIGS = (0.3, 2.0, 15.0)
+CONT_X = (1.0, -0.5 + 0.3j, 0.8)
+
+
+def _continuous_mp(idx: BesovIndex) -> float:
+    """30-digit ||(2^k+A)^{-alpha} x|| + (int_{k ln 2}^inf G(u)^q du)^{1/q} on
+    diag(CONT_EIGS), with G(u) = e^{u(s+alpha)} ||A^beta (e^u+A)^{-alpha-beta} x||."""
+    import mpmath as mp
+    with mp.workdps(30):
+        eigs = [mp.mpf(e) for e in CONT_EIGS]
+        w = [abs(mp.mpc(c)) ** 2 for c in CONT_X]
+        a, b, s, q = mp.mpf(idx.alpha), mp.mpf(idx.beta), mp.mpf(idx.s), mp.mpf(idx.q)
+        u0 = idx.k * mp.log(2)
+        lead = mp.sqrt(sum(wi * (mp.mpf(2) ** idx.k + e) ** (-2 * a) for wi, e in zip(w, eigs)))
+
+        def g_q(u):
+            prof = sum(wi * e ** (2 * b) * (mp.exp(u) + e) ** (-2 * (a + b))
+                       for wi, e in zip(w, eigs))
+            return (mp.exp(u * (s + a)) * mp.sqrt(prof)) ** q
+
+        breaks = [u0] + sorted(mp.log(e) for e in eigs if mp.log(e) > u0) + [u0 + 60, mp.inf]
+        return float(lead + mp.quad(g_q, breaks) ** (1 / q))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 4.0])
+def test_continuous_within_tail_bound_of_mpmath(q):
+    idx = BesovIndex(0.4, q, -1, 0.3, 1.2)
+    r = continuous_quasi_norm(OperatorHandle.diagonal(CONT_EIGS), idx,
+                              np.array(CONT_X, dtype=complex))
+    want = _continuous_mp(idx)
+    assert r.tail_bound <= 1e-9 * r.value
+    # 1e-13 covers the rounding of the double-precision evaluation itself
+    assert abs(r.value - want) <= r.tail_bound + 1e-13 * want
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("handle", [
+    OperatorHandle.torus_laplacian(64, 1),
+    OperatorHandle.diagonal(np.geomspace(1e-2, 1e3, 32)),
+], ids=["torus64", "diag32"])
+def test_continuous_certified_within_the_default_tolerance(handle, q):
+    rng = np.random.default_rng(int(4 * q))
+    x = rng.normal(size=handle.dim) + 1j * rng.normal(size=handle.dim)
+    for idx in (BesovIndex(0.5, q, 0, 0.5, 1.0), BesovIndex(-0.3, q, -2, 0.8, 0.6),
+                BesovIndex(1.2, q, 2, 0.2, 1.9)):
+        r = continuous_quasi_norm(handle, idx, x)
+        assert 0.0 < r.tail_bound <= 1e-9 * r.value
+
+
+# ------------------------------------------------ log-space reference sums ----
+
+def _pinned_diag32(seed: int) -> np.ndarray:
+    # 32 log-uniform eigenvalues in [1e-2, 1e3] with both ends pinned
+    rng = np.random.default_rng([seed, 0xE7A1])
+    inner = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=30))
+    return np.sort(np.concatenate([[1e-2], inner, [1e3]]))
+
+
+@pytest.mark.parametrize("seed", [26, 1, 2])
+@pytest.mark.parametrize("idx", [BesovIndex(0.95, 0.5, 0, 0.9, 1.0),
+                                 BesovIndex(0.87, 0.5, 2, 0.82, 1.0),
+                                 BesovIndex(1.3, math.inf, 0, 1.0, 2.0),
+                                 BesovIndex(1.2, math.inf, -1, 0.95, 1.8)])
+def test_reference_level_sums_without_overflow(seed, idx):
+    # s + alpha near or above 2 with q = 1/2 or inf: linear-space block
+    # products overflow or underflow over the reference's 500-level span
+    eigs = _pinned_diag32(seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=32) + 1j * rng.normal(size=32)
+    h = OperatorHandle.diagonal(eigs)
+    args = (idx.s, idx.q, idx.alpha, idx.beta)
+    want_inhom = ref.inhom_norm(eigs, x, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
+    assert inhom_quasi_norm(h, idx, x).value == pytest.approx(want_inhom, rel=1e-9)
+    assert homog_quasi_norm(h, idx, x).value == pytest.approx(ref.homog_norm(eigs, x, *args),
+                                                              rel=1e-9)

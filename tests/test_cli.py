@@ -56,6 +56,18 @@ def test_unknown_quadrature_key_rejected():
                          f'"quadrature": {{"{key}": {value}}}}}')
 
 
+@pytest.mark.parametrize("variant, key, value", [
+    ("continuous", "tail_tolerance", "1e-2"),
+    ("inhomogeneous", "quadrature", '{"tail_tolerance": 1e-2}'),
+    ("semigroup", "quadrature", '{"tail_tolerance": 1e-2}'),
+])
+def test_tolerance_key_of_another_variant_rejected(variant, key, value):
+    # each variant reads one tolerance key; the other would be ignored silently
+    with pytest.raises(ConfigError, match=f"'{key}'.*'{variant}'"):
+        parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
+                     f'"variant": "{variant}", "{key}": {value}}}')
+
+
 def test_parse_error_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"command": "power",\n  "operator": oops}')

@@ -8,7 +8,7 @@ import pytest
 from fracbesov import reference as ref
 from fracbesov.interpolation import CoupleSpec, interpolation_norm, k_functional
 from fracbesov.operators import NormKind, OperatorHandle
-from fracbesov.quadrature import DEFAULT_SCHEME
+from fracbesov.quadrature import DEFAULT_SCHEME, integrate_multiplicative
 
 DIAG14 = OperatorHandle.diagonal([1.0, 4.0])
 ONES2 = np.array([1.0, 1.0], dtype=complex)
@@ -217,3 +217,25 @@ def test_interpolation_norm_on_an_eigenvector(route, q):
                 + nx ** q * t_star ** (-theta * q) / (theta * q)) ** (1.0 / q)
     got = interpolation_norm(CoupleSpec(h, alpha, theta, q), x).value
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_bound_covers_the_quadrature_discretization(monkeypatch, q):
+    # the reported bound must carry the quadrature's tails and its last
+    # step-halving difference through the 1/q power
+    import fracbesov.interpolation as interp
+    seen = []
+
+    def recording(*args, **kwargs):
+        total, diag = integrate_multiplicative(*args, **kwargs)
+        seen.append(diag)
+        return total, diag
+
+    monkeypatch.setattr(interp, "integrate_multiplicative", recording)
+    x = np.array([1.0, 0.5 - 0.25j, 2.0], dtype=complex)
+    c = CoupleSpec(OperatorHandle.diagonal([0.05, 1.0, 30.0]), 1.0, 0.4, q)
+    res = interpolation_norm(c, x)
+    (diag,) = seen
+    assert diag.discretization > 0.0
+    spill = diag.tail_bound + diag.discretization
+    assert res.tail_bound >= 0.999 * ((res.value ** q + spill) ** (1.0 / q) - res.value)

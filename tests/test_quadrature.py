@@ -10,7 +10,6 @@ from fracbesov.quadrature import (
     QuadratureError,
     QuadratureScheme,
     TailCertificationError,
-    _legendre_panels,
     integrate_multiplicative,
 )
 
@@ -42,16 +41,6 @@ def test_resolvent_weight_anchor(alpha, lam):
     val, _ = integrate_multiplicative(f, lam, lam, QuadratureScheme(),
                                       decay_lo=alpha, decay_hi=alpha)
     assert abs(pref * val - 1.0) <= 1e-6
-
-
-def test_legendre_panels():
-    u, w = _legendre_panels(-60.0, 40.0, 200)
-    assert u.shape == w.shape == (16 * 200,)
-    assert np.all(np.diff(u) > 0) and -60.0 < u[0] and u[-1] < 40.0
-    assert w.sum() == pytest.approx(100.0, rel=1e-14)
-    lam = np.exp(u)
-    val = np.dot(w, lam ** 0.5 * (1 + lam) ** (-2))
-    assert abs(balakrishnan_prefactor(0.5, 2) * val - 1.0) <= 1e-12
 
 
 def test_vector_valued_integrand():
