@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .gammafn import (
     balakrishnan_prefactor,
@@ -490,6 +489,8 @@ def _stable_density(alpha: float, w: float) -> float:
         return sum((-1) ** (k + 1) * math.exp(math.lgamma(k * alpha + 1.0) - math.lgamma(k + 1.0))
                    * math.sin(k * math.pi * alpha) * x ** k
                    for k in range(1, _SERIES_TERMS)) / (math.pi * w)
+    from scipy.integrate import quad
+
     r = alpha / (1.0 - alpha)
     log_w = math.log(w)
 
@@ -499,7 +500,7 @@ def _stable_density(alpha: float, w: float) -> float:
              - math.log(math.sin(phi))) / (1.0 - alpha) - r * log_w    # log E
         return math.exp(e - math.exp(e)) if e < 6.5 else 0.0
 
-    val, _ = _scipy_integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)
+    val, _ = quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)
     return r * val / (math.pi * w)
 
 

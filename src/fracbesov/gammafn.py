@@ -3,8 +3,6 @@ the fractional-power integrals."""
 
 from __future__ import annotations
 
-from scipy.special import gamma as _scipy_gamma
-
 
 def gamma(z: complex) -> complex:
     """Gamma(z) for complex z off the non-positive integers, through
@@ -12,6 +10,8 @@ def gamma(z: complex) -> complex:
 
     Real arguments go through scipy's real kernel, which is exact at the
     positive integers, where the complex kernel is off by a few ulp."""
+    from scipy.special import gamma as _scipy_gamma
+
     z = complex(z)
     if z.imag != 0.0:
         return complex(_scipy_gamma(z))

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .besov import NormResult
 from .fractional import frac_power
@@ -152,6 +151,8 @@ def k_functional(
     elif t >= curve.t_inf:
         k_val, y = nx, np.zeros_like(x)
     else:
+        from scipy.optimize import brentq
+
         # d ln t / d ln mu <= min(mu max(sigma), 1/(mu min(sigma))): beyond this
         # bracket t(mu) is within e^-40 of t0 or t_inf, and so is K
         lo = -math.log(curve.sig.max()) - 40.0
@@ -202,6 +203,8 @@ def _curve_sup(curve: _Curve, theta: float, tol: float) -> tuple[float, float]:
     deep, and L inside it exceeds its ends and its downward root by at most
     w D. Cells that could still beat the best value by more than tol are halved.
     """
+    from scipy.optimize import brentq
+
     c = (1.0 - theta) / theta
     # mu sigma_min <= mu / t^2 = 1/e - 1 <= mu sigma_max: e > theta below lo, < theta above hi
     lo = math.log(0.5 * c / curve.sig.max())

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg as _scipy_linalg
 
 from .quadrature import golden_section_max
 
@@ -323,7 +322,9 @@ class OperatorHandle:
         """Complex Schur factors (Z, T) of the matrix, A = Z T Z^H with Z
         unitary and T upper triangular; computed once per handle."""
         if self._schur_cache is None:
-            t, z = _scipy_linalg.schur(self.matrix(), output="complex")
+            from scipy.linalg import schur
+
+            t, z = schur(self.matrix(), output="complex")
             self._schur_cache = (z, t)
         return self._schur_cache
 

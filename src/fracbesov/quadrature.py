@@ -109,7 +109,10 @@ def integrate_multiplicative(
     The window is widened at node spacing ``_H_START`` until both tails fall
     below ``scheme.tail_tolerance`` times the value. The step is then halved,
     evaluating ``f`` only at the midpoints, until two successive levels agree
-    to the same relative tolerance; the finer level is returned.
+    to the same relative tolerance; the finer level is returned. If the
+    tails then exceed the tolerance against that converged value (the step-1
+    level overestimated the integral), the window is certified again against
+    it and the step halved again, within the same ``_MAX_WIDENINGS``.
     """
     if not (scale_lo > 0 and scale_hi > 0):
         raise ValueError("scales must be positive")
@@ -118,9 +121,10 @@ def integrate_multiplicative(
     if u_min >= u_max:
         u_min, u_max = u_max - 1.0, u_min + 1.0
     tol = scheme.tail_tolerance
-    diff = math.inf
+    ref_conv = math.inf     # converged value of an earlier pass, if its tails failed
+    widening = 0
 
-    for widening in range(_MAX_WIDENINGS + 1):
+    while True:
         if u_min < -_U_ABS_CAP or u_max > _U_ABS_CAP:
             raise TailCertificationError(
                 f"window [{u_min:.1f}, {u_max:.1f}] exceeds the exp() range; "
@@ -145,40 +149,41 @@ def integrate_multiplicative(
         tail_lo = 0.0 if np.isinf(rate_lo) else float(mags[0]) / max(rate_lo, _MIN_RATE)
         tail_hi = 0.0 if np.isinf(rate_hi) else float(mags[-1]) / max(rate_hi, _MIN_RATE)
 
-        budget = tol * max(ref, 1e-300)
-        if tail_lo <= budget and tail_hi <= budget:
-            break
+        budget = tol * max(min(ref, ref_conv), 1e-300)
+        if tail_lo > budget or tail_hi > budget:
+            if widening == _MAX_WIDENINGS:
+                raise TailCertificationError(
+                    f"tail not certifiable after {_MAX_WIDENINGS} widenings: "
+                    f"tails=({tail_lo:.3e},{tail_hi:.3e}) value={min(ref, ref_conv):.3e}")
+            # widen the failing side(s) at the same spacing
+            widening += 1
+            if tail_lo > budget:
+                u_min -= max(4.0 / max(rate_lo, 0.05), 0.25 * (u_max - u_min))
+            if tail_hi > budget:
+                u_max += max(4.0 / max(rate_hi, 0.05), 0.25 * (u_max - u_min))
+            continue
 
-        # widen the failing side(s) at the same spacing
-        if tail_lo > budget:
-            u_min -= max(4.0 / max(rate_lo, 0.05), 0.25 * (u_max - u_min))
-        if tail_hi > budget:
-            u_max += max(4.0 / max(rate_hi, 0.05), 0.25 * (u_max - u_min))
-    else:
-        raise TailCertificationError(
-            f"tail not certifiable after {_MAX_WIDENINGS} widenings: "
-            f"tails=({tail_lo:.3e},{tail_hi:.3e}) value={ref:.3e}")
-
-    # nested halving: the midpoints of level h are the new nodes of level h/2
-    while True:
-        if 2 * nodes - 1 > _MAX_NODES:
-            raise QuadratureError(
-                f"discretization not certified at {nodes} nodes: last level "
-                f"difference {diff:.3e} against value {ref:.3e} (tolerance {tol:.1e})")
-        mid = u_min + h * (np.arange(nodes - 1) + 0.5)
-        fine = 0.5 * total + 0.5 * h * sum(
-            _evaluate(f, mid[i:i + _CHUNK]).sum(axis=0) for i in range(0, len(mid), _CHUNK))
-        diff = float(np.linalg.norm(np.atleast_1d(fine - total)))
-        ref = float(np.linalg.norm(np.atleast_1d(fine)))
-        total, h, nodes = fine, 0.5 * h, 2 * nodes - 1
-        if diff <= tol * ref:
-            break
-    if max(tail_lo, tail_hi) > tol * ref:
-        raise TailCertificationError(
-            f"tails ({tail_lo:.3e},{tail_hi:.3e}) exceed the tolerance against "
-            f"the converged value {ref:.3e}")
-    return total, QuadratureDiagnostics(u_min, u_max, nodes, tail_lo, tail_hi,
-                                        widening, ref, diff)
+        # nested halving: the midpoints of level h are the new nodes of level h/2
+        diff = math.inf
+        while True:
+            if 2 * nodes - 1 > _MAX_NODES:
+                raise QuadratureError(
+                    f"discretization not certified at {nodes} nodes: last level "
+                    f"difference {diff:.3e} against value {ref:.3e} (tolerance {tol:.1e})")
+            mid = u_min + h * (np.arange(nodes - 1) + 0.5)
+            fine = 0.5 * total + 0.5 * h * sum(
+                _evaluate(f, mid[i:i + _CHUNK]).sum(axis=0) for i in range(0, len(mid), _CHUNK))
+            diff = float(np.linalg.norm(np.atleast_1d(fine - total)))
+            ref = float(np.linalg.norm(np.atleast_1d(fine)))
+            total, h, nodes = fine, 0.5 * h, 2 * nodes - 1
+            if diff <= tol * ref:
+                break
+        if max(tail_lo, tail_hi) <= tol * ref:
+            return total, QuadratureDiagnostics(u_min, u_max, nodes, tail_lo, tail_hi,
+                                                widening, ref, diff)
+        # the step-1 level overestimated the integral, so the window was
+        # certified against too large a value: certify it against this one
+        ref_conv = ref
 
 
 def _evaluate(f, u: np.ndarray) -> np.ndarray:

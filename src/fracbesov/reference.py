@@ -106,19 +106,26 @@ def breve_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0) -> float:
 
 
 def continuous_sum_part(eigs, x, s, q, k, alpha, beta, du=2e-3) -> float:
-    """Dense-trapezoid continuous profile integral from 2^k upward."""
+    """Dense-trapezoid continuous profile integral from 2^k upward.
+
+    The profile is taken as e^{-(beta - s) u} ||A^beta (1 + e^{-u} A)^{-alpha-beta} x||,
+    which cannot underflow at large u. Past the cut it equals
+    ||A^beta x|| e^{-(beta - s) u} to within a factor 1 + O(max(eigs) e^{-u}),
+    so for finite q the integral beyond the last node is closed-form:
+    g^q / (q (beta - s)) at that node."""
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
     gap = re_b - s
     top = math.log(max(eigs.max(initial=1.0), 1.0)) + 60.0 / max(gap, 0.25)
     us = np.arange(k * math.log(2.0), top, du)
-    lam = np.exp(us)[:, None]
-    prof2 = (eigs ** (2 * re_b) * (lam + eigs) ** (-2 * (re_a + re_b)) * absx2[None, :]).sum(axis=1)
-    g = np.exp(us * (s + re_a)) * np.sqrt(prof2)
+    prof2 = ((1.0 + np.exp(-us)[:, None] * eigs) ** (-2 * (re_a + re_b))
+             * (eigs ** (2 * re_b) * absx2)).sum(axis=1)
+    g = np.exp(-us * gap) * np.sqrt(prof2)
     if math.isinf(q):
         return float(g.max(initial=0.0))
-    return float(np.trapezoid(g ** q, us) ** (1.0 / q))
+    remainder = g[-1] ** q / (q * gap)
+    return float((np.trapezoid(g ** q, us) + remainder) ** (1.0 / q))
 
 
 def semigroup_sum_part(eigs, x, s, q, k, beta) -> float:

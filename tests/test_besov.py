@@ -522,6 +522,19 @@ def _pinned_diag32(seed: int) -> np.ndarray:
     return np.sort(np.concatenate([[1e-2], inner, [1e3]]))
 
 
+def test_reference_continuous_with_slow_decay():
+    # (beta - s) q = 0.025: at the reference's dense cut the integrand is
+    # still about e^-6 of its start, so the remainder beyond the cut matters,
+    # and (e^u + A)^{-alpha-beta} underflows there unless e^u is factored out
+    eigs = _pinned_diag32(0)
+    x = np.random.default_rng(0).normal(size=32) + 0j
+    idx = BesovIndex(0.95, 0.5, 0, 0.5, 1.0)
+    got = continuous_quasi_norm(OperatorHandle.diagonal(eigs), idx, x).value
+    want = ref.leading_term(eigs, x, 0, 0.5) + \
+        ref.continuous_sum_part(eigs, x, 0.95, 0.5, 0, 0.5, 1.0)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
 @pytest.mark.parametrize("seed", [26, 1, 2])
 @pytest.mark.parametrize("idx", [BesovIndex(0.95, 0.5, 0, 0.9, 1.0),
                                  BesovIndex(0.87, 0.5, 2, 0.82, 1.0),

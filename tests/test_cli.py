@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,22 @@ def test_csv_verify_format(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("check_id,kind,verdict")
     assert lines[1].startswith("embed_q,exact_inequality,pass")
+
+
+# ------------------------------------------------------------------ imports ----
+
+def test_spectral_norm_command_imports_no_scipy():
+    # scipy is imported inside the functions that call it, so a command
+    # whose route needs none of them loads no scipy module at all
+    config = json.dumps({"command": "norm", "operator": "torus_laplacian n=8",
+                         "vector": [1, 0, 2, 0, 1, 0, 0, 1], "s": 0.5, "q": 2,
+                         "beta": 1, "variant": "inhomogeneous"})
+    script = ("import sys\n"
+              "import fracbesov, fracbesov.cli\n"
+              f"assert fracbesov.cli.main(['--config', {config!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"

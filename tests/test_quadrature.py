@@ -87,3 +87,17 @@ def test_unresolvable_integrand_raises():
 
     with pytest.raises(QuadratureError, match="discretization"):
         integrate_multiplicative(f, 1.0, 1.0, decay_lo=0.5, decay_hi=1.5)
+
+
+def test_window_recertified_against_the_converged_value():
+    # a bump narrow in ln(lambda) makes the step-1 level overestimate the
+    # integral; the window certified against it is too narrow for the
+    # converged value and must be widened, not rejected
+    def f(lam):
+        return np.exp(-((np.log(lam) - 0.5) / 0.08) ** 2) + 1e-7 * lam ** 0.5 / (1 + lam)
+
+    val, diag = integrate_multiplicative(f, 1.0, 1.0, QuadratureScheme(tail_tolerance=1e-10),
+                                         decay_lo=0.5, decay_hi=0.5)
+    exact = 0.08 * math.sqrt(math.pi) + 1e-7 * math.pi
+    assert max(diag.tail_low, diag.tail_high) <= 1e-10 * abs(val)
+    assert abs(val - exact) <= diag.tail_bound + diag.discretization
