@@ -428,11 +428,6 @@ def main(argv: Optional[list] = None) -> int:
             cfg.output_path = args.out
         if args.format is not None:
             cfg.format = args.format
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         return execute(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

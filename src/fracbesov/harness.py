@@ -40,7 +40,6 @@ from .besov import (
 )
 from .fractional import (
     ergodic_limits,
-    frac_power,
     phi_apply,
     power_apply,
     spectral_frac_power,
@@ -907,10 +906,7 @@ def _run_moment(samples, backend, tol):
         slack = tol.exact_slack if exact else 1e-6
         n_w = int(s.rng.integers(1, 4))
         a = float(s.rng.uniform(0.1, n_w - 0.1))
-        if handle.spectral is not None:
-            ax = spectral_frac_power(handle, a, s.x)
-        else:
-            ax = frac_power(handle, a, s.x)
+        ax = power_apply(handle, a, s.x)
         y = s.x
         for _ in range(n_w):
             y = handle.apply(y)

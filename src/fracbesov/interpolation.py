@@ -37,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import NormResult
-from .fractional import frac_power
+# frac_power is not called here; perfbench's tracer test looks it up on this
+# module as its example of a name patched where it is looked up
+from .fractional import frac_power, power_apply  # noqa: F401
 from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme, integrate_multiplicative
 
@@ -77,7 +79,7 @@ class _CoupleGeometry:
             self._from = s.from_coeff
         else:
             # rows of the block are the images of the basis vectors
-            cmat = frac_power(handle, alpha, np.eye(handle.dim, dtype=complex)).T
+            cmat = power_apply(handle, alpha, np.eye(handle.dim, dtype=complex)).T
             bmat = cmat.conj().T @ cmat
             sig, u = np.linalg.eigh(0.5 * (bmat + bmat.conj().T))
             self.sigma = np.clip(sig.real, 0.0, None)

@@ -7,8 +7,11 @@ pair), and cached non-negativity constants
     M_A = sup_{l>0} ||l (l+A)^{-1}||,     L_A = sup_{l>0} ||A (l+A)^{-1}||.
 
 Supported kinds: diagonal, dense, torus_laplacian, shifted, inverse and
-frac_power (real exponent). Handles are immutable after construction and
-all operations are pure.
+frac_power (real exponent). A handle with eigen-data acts by multipliers; a
+handle without is its matrix, which the composite kinds compute at
+construction (base + eps I, the inverse of the base, and the Balakrishnan
+power of the base), and solves through one complex Schur factorization.
+Handles are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -127,13 +130,11 @@ class OperatorHandle:
     kind: str
     dim: int
 
-    def __init__(self, kind, dim, *, spectral=None, matrix=None, base=None, param=None):
+    def __init__(self, kind, dim, *, spectral=None, matrix=None):
         self.kind = kind
         self.dim = dim
         self.spectral = spectral
         self._matrix = matrix
-        self.base = base
-        self.param = param
         self._constants_cache: dict = {}
         self._scale_cache: Optional[tuple[float, float]] = None
         self._singular_values: Optional[np.ndarray] = None
@@ -182,7 +183,7 @@ class OperatorHandle:
             eig = mult
             to = lambda x: np.fft.fft(np.asarray(x, dtype=complex), norm="ortho", axis=-1)
             fr = lambda c: np.fft.ifft(np.asarray(c, dtype=complex), norm="ortho", axis=-1)
-            return OperatorHandle("torus_laplacian", n, spectral=SpectralData(eig, to, fr), param=(n, dims))
+            return OperatorHandle("torus_laplacian", n, spectral=SpectralData(eig, to, fr))
         eig = (mult[:, None] + mult[None, :]).ravel()
 
         def to2(x):
@@ -195,41 +196,47 @@ class OperatorHandle:
             shp = c.shape[:-1] + (n, n)
             return np.fft.ifft2(c.reshape(shp), norm="ortho").reshape(c.shape)
 
-        return OperatorHandle("torus_laplacian", n * n, spectral=SpectralData(eig, to2, fr2), param=(n, dims))
+        return OperatorHandle("torus_laplacian", n * n, spectral=SpectralData(eig, to2, fr2))
 
     @staticmethod
     def shifted(base: "OperatorHandle", eps: float) -> "OperatorHandle":
         if eps < 0:
             raise ValueError("shift must be >= 0")
-        spectral = None
-        if base.spectral is not None:
-            s = base.spectral
-            spectral = SpectralData(s.eigenvalues + eps, s.to_coeff, s.from_coeff,
-                                    s.orthonormal, s.self_adjoint)
-        return OperatorHandle("shifted", base.dim, spectral=spectral, base=base, param=float(eps))
+        s = base.spectral
+        if s is None:
+            return OperatorHandle("shifted", base.dim,
+                                  matrix=base.matrix() + float(eps) * np.eye(base.dim))
+        spectral = SpectralData(s.eigenvalues + eps, s.to_coeff, s.from_coeff,
+                                s.orthonormal, s.self_adjoint)
+        return OperatorHandle("shifted", base.dim, spectral=spectral)
 
     @staticmethod
     def inverse(base: "OperatorHandle") -> "OperatorHandle":
         if not base.injective():
             raise ValueError("inverse(...) requires an injective base operator")
-        spectral = None
-        if base.spectral is not None:
-            s = base.spectral
-            spectral = SpectralData(1.0 / s.eigenvalues, s.to_coeff, s.from_coeff,
-                                    s.orthonormal, s.self_adjoint)
-        return OperatorHandle("inverse", base.dim, spectral=spectral, base=base)
+        s = base.spectral
+        if s is None:
+            return OperatorHandle("inverse", base.dim, matrix=np.linalg.inv(base.matrix()))
+        spectral = SpectralData(1.0 / s.eigenvalues, s.to_coeff, s.from_coeff,
+                                s.orthonormal, s.self_adjoint)
+        return OperatorHandle("inverse", base.dim, spectral=spectral)
 
     @staticmethod
     def frac_power(base: "OperatorHandle", exponent: float) -> "OperatorHandle":
         exponent = float(exponent)
         if exponent <= 0:
             raise ValueError("frac_power handle needs a positive real exponent")
-        spectral = None
-        if base.spectral is not None:
-            s = base.spectral
-            eig = np.where(s.eigenvalues > 0, s.eigenvalues, 0.0) ** exponent
-            spectral = SpectralData(eig, s.to_coeff, s.from_coeff, s.orthonormal, s.self_adjoint)
-        return OperatorHandle("frac_power", base.dim, spectral=spectral, base=base, param=exponent)
+        s = base.spectral
+        if s is None:
+            # Balakrishnan, not the contour: it also serves singular bases.
+            # Local import: fractional builds on this module. Rows of the
+            # block are the images of the basis vectors.
+            from .fractional import frac_power
+            power = frac_power(base, exponent, np.eye(base.dim, dtype=complex)).T
+            return OperatorHandle("frac_power", base.dim, matrix=power)
+        eig = np.where(s.eigenvalues > 0, s.eigenvalues, 0.0) ** exponent
+        spectral = SpectralData(eig, s.to_coeff, s.from_coeff, s.orthonormal, s.self_adjoint)
+        return OperatorHandle("frac_power", base.dim, spectral=spectral)
 
     # ---- core actions ----
 
@@ -241,21 +248,7 @@ class OperatorHandle:
         s = self.spectral
         if s is not None:
             return s.from_coeff(s.to_coeff(x) * s.eigenvalues)
-        if self.kind == "shifted":
-            return self.base.apply(x) + self.param * x
-        if self.kind == "inverse":
-            return self.base.solve(x)
-        return as_array(x) @ self.matrix().T
-
-    def solve(self, x) -> np.ndarray:
-        """A^{-1} x (requires injectivity)."""
-        s = self.spectral
-        x = as_array(x)
-        if s is not None:
-            if np.any(s.eigenvalues == 0):
-                raise SingularResolventError("operator has a kernel; cannot solve")
-            return s.from_coeff(s.to_coeff(x) / s.eigenvalues)
-        return np.linalg.solve(self.matrix(), x[..., None])[..., 0]
+        return x @ self.matrix().T
 
     def l_compose_batch(self, lams: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Per-row A (lam_i + A)^{-1} row_i, computed without the cancellation
@@ -295,11 +288,6 @@ class OperatorHandle:
             if np.any(denom == 0):
                 raise SingularResolventError("lam in the spectrum of -A")
             return s.from_coeff(s.to_coeff(rows) / denom)
-        if self.kind == "shifted":
-            return self.base.resolvent_batch(lams + self.param, rows)
-        if self.kind == "inverse":
-            # (lam + A^{-1})^{-1} = lam^{-1} A (lam^{-1} + A)^{-1}, free of cancellation
-            return self.base.l_compose_batch(1.0 / lams, rows) / lams[:, None]
         return self._schur_solve(lams, rows)
 
     def _schur_solve(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -330,23 +318,10 @@ class OperatorHandle:
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._materialize()
+            # only handles with eigen-data come without a matrix; rows of
+            # the result are the images of the basis vectors
+            self._matrix = self.apply(np.eye(self.dim, dtype=complex)).T
         return self._matrix
-
-    def _materialize(self) -> np.ndarray:
-        s = self.spectral
-        if s is not None:
-            # rows of the result are the images of the basis vectors
-            return self.apply(np.eye(self.dim, dtype=complex)).T
-        if self.kind == "shifted":
-            return self.base.matrix() + self.param * np.eye(self.dim)
-        if self.kind == "inverse":
-            return np.linalg.inv(self.base.matrix())
-        if self.kind == "frac_power":
-            from .fractional import frac_power  # local import: fractional builds on this module
-            # rows of the result are the images of the basis vectors
-            return frac_power(self.base, self.param, np.eye(self.dim, dtype=complex)).T
-        raise RuntimeError(f"no materialization path for kind {self.kind!r}")
 
     def _spectral_magnitudes(self) -> np.ndarray:
         """|eigenvalues| for spectral kinds, singular values (computed once) otherwise."""

@@ -217,6 +217,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert out.exists()
 
 
+def test_main_maps_construction_errors_to_exit_1(capsys):
+    # frac_power on a base without eigen-data is computed while the config is
+    # parsed; its quadrature failure is a computation error, not a traceback
+    config = json.dumps({"command": "norm", "operator": "frac_power(dense [[-1,1],[0,2]], 0.5)",
+                         "vector": [1, 1]})
+    assert main(["--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_main_suite_flag(tmp_path):
     out = tmp_path / "suite.json"
     assert main(["--suite", "embed_q", "--out", str(out), "--seed", "77"]) == 0

@@ -300,6 +300,21 @@ def test_power_apply_without_eigen_data(z):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_contour_reach_on_a_spectrum_over_sixteen_decades():
+    # spectrum [1e-8, 1e8], shifts four decades beyond it: certifies within
+    # the radius-derived node cap (a fixed cap of 1024 nodes fell short)
+    from scipy.linalg import fractional_matrix_power as fmp
+    d = np.geomspace(1e-8, 1e8, 6)
+    m = np.diag(d) + 0.4 * np.triu(np.random.default_rng(7).normal(size=(6, 6)), 1) \
+        * np.sqrt(np.outer(d, d))
+    lams = np.geomspace(1e-12, 1e12, 9)
+    got = phi_apply(OperatorHandle.dense(m), 0.6, 0.6, lams, np.eye(6))
+    for lam, block in zip(lams, got):
+        want = fmp(m, 0.6) @ fmp(lam * np.eye(6) + m, -0.6)
+        # rows of the block are the images of the basis vectors
+        assert np.linalg.norm(block.T - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
 # -------------------------------------------------------- frac resolvent ----
 
 def test_frac_resolvent_scalar_identity():

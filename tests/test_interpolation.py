@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracbesov import reference as ref
-from fracbesov.interpolation import CoupleSpec, interpolation_norm, k_functional
+from fracbesov.interpolation import CoupleSpec, _CoupleGeometry, interpolation_norm, k_functional
 from fracbesov.operators import NormKind, OperatorHandle
 from fracbesov.quadrature import DEFAULT_SCHEME, integrate_multiplicative
 
@@ -239,3 +239,19 @@ def test_bound_covers_the_quadrature_discretization(monkeypatch, q):
     assert diag.discretization > 0.0
     spill = diag.tail_bound + diag.discretization
     assert res.tail_bound >= 0.999 * ((res.value ** q + spill) ** (1.0 / q) - res.value)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("a", [0.3, 0.7, 1.6])
+def test_couple_geometry_without_eigen_data_matches_scipy(seed, a):
+    # sigma are the squared singular values of A^a, here on a 5x5 non-normal
+    # upper-triangular handle drawn as the nonnormal_upper ensemble draws them
+    from scipy.linalg import fractional_matrix_power as fmp
+    rng = np.random.default_rng(seed)
+    diag = np.sort(np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=5)))
+    m = np.diag(diag) + 0.4 * np.triu(rng.normal(size=(5, 5)), 1)
+    h = OperatorHandle.dense(m)
+    assert h.spectral is None
+    sigma = np.sort(_CoupleGeometry(CoupleSpec(h, a, 0.5, 2.0)).sigma)
+    want = np.sort(np.linalg.svd(fmp(m, a), compute_uv=False) ** 2)
+    assert np.abs(sigma - want).max() <= 1e-12 * want.max()

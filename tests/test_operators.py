@@ -323,6 +323,22 @@ def test_frac_power_handle_spectrum():
     assert np.allclose(h.resolvent(2.0, np.ones(2, dtype=complex)), [1 / 3, 1 / 4])
 
 
+def test_frac_power_handle_on_a_singular_base_matches_scipy():
+    # the Balakrishnan constructor route serves singular bases, where the
+    # contour around the spectrum has no room
+    from scipy.linalg import fractional_matrix_power as fmp
+    from fracbesov.fractional import power_apply
+    m = np.array([[0.0, 1.0, 0.3], [0.0, 1.0, 0.5], [0.0, 0.0, 2.0]])
+    base = OperatorHandle.dense(m)
+    h = OperatorHandle.frac_power(base, 0.5)
+    want = fmp(m, 0.5)
+    assert np.abs(h.matrix() - want).max() <= 1e-8 * np.abs(want).max()
+    x = np.array([1.0, -2.0, 0.5], dtype=complex)
+    assert np.linalg.norm(h.apply(x) - want @ x) <= 1e-8 * np.linalg.norm(want @ x)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        power_apply(base, 0.5, x)
+
+
 # ---------------------------------------------------------------- grammar ----
 
 def test_build_operator_examples():
