@@ -26,6 +26,7 @@ never a silent truncation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -39,6 +40,7 @@ from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, golden_section_max,
                          integrate_multiplicative)
 
 _J_CAP = 64
+_NORMAL_MIN = sys.float_info.min
 
 
 class TailError(Exception):
@@ -128,16 +130,38 @@ def dyadic_blocks(handle: OperatorHandle, js: np.ndarray, idx: BesovIndex, x,
 # geometric tail completion
 # --------------------------------------------------------------------------
 
+def _lq_root(total: float, parts, q: float) -> float:
+    """total^{1/q} for the direct sum total = sum_i parts_i^q.
+
+    When that sum is not a finite normal float (a q-th power underflowed or
+    overflowed), it is summed again over the parts scaled by the power of two
+    that brings the largest into [1/2, 1), and the root is scaled back."""
+    e = 0
+    if not _NORMAL_MIN <= total < math.inf:
+        top = float(np.max(parts, initial=0.0))
+        if 0.0 < top < math.inf:
+            e = math.frexp(top)[1]
+            total = float((np.ldexp(np.asarray(parts, dtype=float), -e) ** q).sum())
+    try:
+        return math.ldexp(total ** (1.0 / q), e)
+    except OverflowError:       # the aggregate itself exceeds the largest float
+        return math.inf
+
+
 def _lq_aggregate(blocks: np.ndarray, q: float) -> float:
     if math.isinf(q):
         return float(blocks.max(initial=0.0))
-    return float((blocks ** q).sum() ** (1.0 / q))
+    return _lq_root(float((blocks ** q).sum()), blocks, q)
 
 
 def _combine(q: float, *parts: float) -> float:
     if math.isinf(q):
         return max(parts)
-    return float(sum(p ** q for p in parts) ** (1.0 / q))
+    try:
+        total = sum(float(p) ** q for p in parts)
+    except OverflowError:       # a python float's q-th power raises where numpy's is inf
+        total = math.inf
+    return _lq_root(total, parts, q)
 
 
 def _enclose(q: float, head: float, tail: float, e: float) -> tuple[float, float, float]:

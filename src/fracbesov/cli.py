@@ -42,7 +42,7 @@ from .harness import (
     run_suite,
 )
 from .interpolation import CoupleSpec, k_functional
-from .operators import build_operator
+from .operators import OperatorHandle, build_operator
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme
 
 
@@ -68,6 +68,7 @@ _KEYS_BY_COMMAND = {
 class RunConfig:
     command: str
     operator_spec: Optional[str] = None
+    handle: Optional[OperatorHandle] = None  # built once from operator_spec
     vector: Optional[np.ndarray] = None
     exponent: complex = 0.5
     variant: str = "inhomogeneous"
@@ -153,7 +154,7 @@ def parse_config(source: str) -> RunConfig:
             raise ConfigError(f"{command} needs an \"operator\" spec string")
         cfg.operator_spec = raw["operator"]
         try:
-            handle = build_operator(cfg.operator_spec)
+            cfg.handle = handle = build_operator(cfg.operator_spec)
         except ValueError as exc:
             raise ConfigError(f"operator: {exc}") from exc
         if "vector" in raw:
@@ -268,8 +269,7 @@ def _write(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple] = None) -> N
 
 
 def _exec_power(cfg: RunConfig) -> int:
-    handle = build_operator(cfg.operator_spec)
-    result, diag = frac_power(handle, cfg.exponent, cfg.vector, cfg.scheme,
+    result, diag = frac_power(cfg.handle, cfg.exponent, cfg.vector, cfg.scheme,
                               with_diagnostics=True)
     payload = {
         "command": "power",
@@ -289,8 +289,7 @@ def _exec_power(cfg: RunConfig) -> int:
 
 
 def _exec_norm(cfg: RunConfig) -> int:
-    handle = build_operator(cfg.operator_spec)
-    idx = cfg.index
+    handle, idx = cfg.handle, cfg.index
     if cfg.variant == "inhomogeneous":
         res = inhom_quasi_norm(handle, idx, cfg.vector, cfg.tail_tolerance)
     elif cfg.variant == "continuous":
@@ -324,8 +323,7 @@ def _exec_norm(cfg: RunConfig) -> int:
 
 
 def _exec_kfun(cfg: RunConfig) -> int:
-    handle = build_operator(cfg.operator_spec)
-    couple = CoupleSpec(handle, cfg.alpha, cfg.theta, cfg.q)
+    couple = CoupleSpec(cfg.handle, cfg.alpha, cfg.theta, cfg.q)
     tg = cfg.t_grid
     ts = np.geomspace(float(tg["min"]), float(tg["max"]), int(tg["points"]))
     ks = [k_functional(couple, float(t), cfg.vector) for t in ts]

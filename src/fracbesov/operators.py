@@ -393,18 +393,20 @@ def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
     raise NotImplementedError("induced norms support euclidean, weighted and p in {1, 2, inf}")
 
 
-def _resolvent_norms(handle: OperatorHandle, lams: np.ndarray,
-                     norm: NormKind) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ||lam (lam+A)^{-1}|| and ||A (lam+A)^{-1}|| for every lam, from
-    one batched shifted solve of the basis vectors."""
+def _resolvent_rows(handle: OperatorHandle, lams: np.ndarray) -> np.ndarray:
+    """(lam+A)^{-1} e_i for every lam and basis vector e_i, one row each,
+    from one batched shifted solve."""
     n = handle.dim
     basis = np.tile(np.eye(n, dtype=complex), (len(lams), 1))
-    res = handle.resolvent_batch(np.repeat(lams, n), basis)
-    a_res = handle.apply(res)
+    return handle.resolvent_batch(np.repeat(lams, n), basis)
+
+
+def _block_norms(rows: np.ndarray, norm: NormKind) -> np.ndarray:
+    """Induced norms of the operators whose basis images are the (n, n)
+    blocks of ``rows``."""
+    n = rows.shape[-1]
     # rows of each (n, n) block are images of basis vectors: transpose to matrices
-    res = res.reshape(len(lams), n, n).transpose(0, 2, 1)
-    a_res = a_res.reshape(len(lams), n, n).transpose(0, 2, 1)
-    return lams * _induced_norms(res, norm), _induced_norms(a_res, norm)
+    return _induced_norms(rows.reshape(-1, n, n).transpose(0, 2, 1), norm)
 
 
 @dataclass
@@ -439,16 +441,24 @@ def estimate_nonnegativity_constants(
     if lam_grid is None:
         lam_grid = default_lambda_grid(handle)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    m_vals, l_vals = _resolvent_norms(handle, lam_grid, norm)
+    res = _resolvent_rows(handle, lam_grid)
+    m_vals = lam_grid * _block_norms(res, norm)
+    l_vals = _block_norms(handle.apply(res), norm)
     i_m = int(np.argmax(m_vals))
     i_l = int(np.argmax(l_vals))
     m_best, lam_m = float(m_vals[i_m]), float(lam_grid[i_m])
     l_best, lam_l = float(l_vals[i_l]), float(lam_grid[i_l])
     if refine:
-        def at(u: float) -> tuple[np.ndarray, np.ndarray]:
-            return _resolvent_norms(handle, np.array([math.exp(u)]), norm)
-        m_best, lam_m = _refine_grid_peak(lambda u: float(at(u)[0][0]), lam_grid, i_m, m_best)
-        l_best, lam_l = _refine_grid_peak(lambda u: float(at(u)[1][0]), lam_grid, i_l, l_best)
+        # each probe solves at its own lam and takes only the norm it maximises
+        def m_at(u: float) -> float:
+            lam = np.array([math.exp(u)])
+            return float((lam * _block_norms(_resolvent_rows(handle, lam), norm))[0])
+
+        def l_at(u: float) -> float:
+            res = _resolvent_rows(handle, np.array([math.exp(u)]))
+            return float(_block_norms(handle.apply(res), norm)[0])
+        m_best, lam_m = _refine_grid_peak(m_at, lam_grid, i_m, m_best)
+        l_best, lam_l = _refine_grid_peak(l_at, lam_grid, i_l, l_best)
     # boundary limits the grid cannot attain: lam (lam+A)^{-1} -> I as
     # lam -> inf, and A (lam+A)^{-1} -> I as lam -> 0 for injective A
     m_best = max(m_best, 1.0)

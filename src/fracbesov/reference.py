@@ -9,6 +9,10 @@ The level sums work with the logs of their terms: each block is a
 log-sum-exp over the eigen-terms and the l_q aggregate a logaddexp over the
 blocks, so neither 2^{j(s+alpha)} nor the resolvent factor can overflow or
 underflow over the 500-level span.
+
+The interpolation oracle's mu-scan stays brute force over all its nodes:
+every node gives a line d_mu + t g_mu, and the minimum over the nodes at
+each t is read off the lower envelope of those lines.
 """
 
 from __future__ import annotations
@@ -154,8 +158,36 @@ def k_functional(eigs, x, alpha, t, n_mu=1200) -> float:
     return float(min(best, (d + t * g).min()))
 
 
+def _lower_envelope_min(d, g, ts) -> np.ndarray:
+    """min_i (d_i + t g_i) for every t in ts, read off the lower envelope of
+    the lines instead of a dense lines x ts array.
+
+    Sorted by falling slope, a line survives only if its intercept is below
+    every later one's (otherwise a later line dominates it), and then only
+    while its breakpoints with its neighbours increase. Each entry is the
+    least of d_i + t * g_i over the envelope line at t and its two
+    neighbours: the dense scan's own float whenever its argmin lies on the
+    envelope, and never below the dense minimum."""
+    order = np.lexsort((-d, -g))
+    d, g = d[order], g[order]
+    keep = np.append(d[:-1] < np.minimum.accumulate(d[::-1])[::-1][1:], True)
+    d, g = d[keep], g[keep]
+    while True:
+        tau = (d[1:] - d[:-1]) / (g[:-1] - g[1:])
+        bad = np.flatnonzero(tau[:-1] >= tau[1:]) + 1
+        if not bad.size:
+            break
+        d, g = np.delete(d, bad), np.delete(g, bad)
+    i = np.searchsorted(tau, ts)
+    near = np.clip(i + np.arange(-1, 2)[:, None], 0, len(d) - 1)
+    return (d[near] + ts * g[near]).min(axis=0)
+
+
 def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
-    """Brute t-grid x mu-scan interpolation quasi-norm with analytic tails."""
+    """Brute t-grid x mu-scan interpolation quasi-norm with analytic tails.
+
+    K(t) is the least of the trivial decompositions and d_mu + t g_mu over
+    every mu-node, taken on the lower envelope of those lines."""
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     sig = eigs ** (2 * complex(alpha).real)
@@ -168,8 +200,7 @@ def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
     r = mus * sig[None, :]
     d = np.sqrt((absx2[None, :] * (r / (1.0 + r)) ** 2).sum(axis=1))
     g = np.sqrt((absx2[None, :] * sig[None, :] / (1.0 + r) ** 2).sum(axis=1))
-    ks = np.minimum((d[:, None] + ts[None, :] * g[:, None]).min(axis=0),
-                    np.minimum(nx, ts * cx))
+    ks = np.minimum(_lower_envelope_min(d, g, ts), np.minimum(nx, ts * cx))
     prof = np.exp(-theta * us) * ks
     if math.isinf(q):
         return float(prof.max())

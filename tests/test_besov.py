@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbesov import reference as ref
 from fracbesov.besov import (
     BesovIndex,
     TailError,
+    _combine,
+    _lq_aggregate,
     aoki_rolewicz_p,
     breve_quasi_norm,
     continuous_quasi_norm,
@@ -313,14 +315,22 @@ def test_aoki_rolewicz_exponent():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=24),
        st.sampled_from([(0.5, 1.0), (1.0, 2.0), (0.7, math.inf)]))
+@example(blocks=[4.872392440093521e-160], q_pair=(1.0, 2.0))
 def test_lq_aggregate_monotone_in_q(blocks, q_pair):
     q, q1 = q_pair
     b = np.asarray(blocks)
+    assert _lq_aggregate(b, q1) <= _lq_aggregate(b, q) * (1 + 1e-12)
 
-    def agg(qq):
-        return b.max(initial=0.0) if math.isinf(qq) else (b ** qq).sum() ** (1 / qq)
 
-    assert agg(q1) <= agg(q) * (1 + 1e-12)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("parts, q, want", [
+    ([4.872392440093521e-160], 2.0, 4.872392440093521e-160),  # square is subnormal
+    ([1e-170], 2.0, 1e-170),                                   # square underflows to 0
+    ([1e200, 1e200], 2.0, math.sqrt(2.0) * 1e200),             # squares overflow
+])
+def test_lq_aggregate_rescales_an_underflowed_or_overflowed_sum(parts, q, want):
+    assert _lq_aggregate(np.array(parts), q) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert _combine(q, *parts) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_q_monotonicity_exact():

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracbesov import cli
 from fracbesov.cli import ConfigError, RunConfig, execute, main, parse_config
+from fracbesov.operators import build_operator
 
 
 def _write(tmp_path, name, payload):
@@ -120,6 +122,24 @@ def test_power_writes_expected_result(tmp_path):
     assert np.abs(got - [1.0, 2.0]).max() <= 1e-8
     assert payload["quadrature"]["nodes"] > 0
     assert 0.0 <= payload["quadrature"]["discretization"] <= 1e-9 * np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("extra", [
+    {"command": "power", "exponent": 0.5},
+    {"command": "norm", "s": 0.5, "q": 2, "beta": 1},
+    {"command": "kfun", "t_grid": {"min": 0.1, "max": 10.0, "points": 3}},
+])
+def test_command_builds_its_operator_once(extra, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_operator(spec)
+    monkeypatch.setattr(cli, "build_operator", counted)
+    config = json.dumps({"operator": "diagonal [1,4]", "vector": [1, 1],
+                         "output": str(tmp_path / "out.json"), **extra})
+    assert main(["--config", config]) == 0
+    assert calls == ["diagonal [1,4]"]
 
 
 def test_norm_round_trip(tmp_path):
