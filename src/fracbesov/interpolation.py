@@ -74,7 +74,6 @@ class _CoupleGeometry:
         s = handle.spectral
         if s is not None and s.orthonormal:
             self.sigma = np.exp(2.0 * alpha.real * np.log(s.eigenvalues))
-            self._basis = None
             self._to = s.to_coeff
             self._from = s.from_coeff
         else:
@@ -83,7 +82,6 @@ class _CoupleGeometry:
             bmat = cmat.conj().T @ cmat
             sig, u = np.linalg.eigh(0.5 * (bmat + bmat.conj().T))
             self.sigma = np.clip(sig.real, 0.0, None)
-            self._basis = u
             self._to = lambda v: u.conj().T @ v
             self._from = lambda c: u @ c
 
@@ -153,15 +151,7 @@ def k_functional(
     elif t >= curve.t_inf:
         k_val, y = nx, np.zeros_like(x)
     else:
-        from scipy.optimize import brentq
-
-        # d ln t / d ln mu <= min(mu max(sigma), 1/(mu min(sigma))): beyond this
-        # bracket t(mu) is within e^-40 of t0 or t_inf, and so is K
-        lo = -math.log(curve.sig.max()) - 40.0
-        hi = -math.log(curve.sig.min()) + 40.0
-        f = lambda u: math.log(float(curve.at(math.exp(u))[0]) / t)
-        u = lo if f(lo) >= 0 else hi if f(hi) <= 0 else brentq(f, lo, hi)
-        mu = math.exp(u)
+        mu = math.exp(_log_mu_at(curve, t))
         _, d, g, _ = curve.at(mu)
         k_val = min(float(d + t * g), nx, t * ncx)
         y = curve.geo.reconstruct(curve.c / (1.0 + mu * curve.geo.sigma))
@@ -169,6 +159,33 @@ def k_functional(
     if validate:
         _validate_minimizer(couple, curve.geo, t, x, y, k_val)
     return float(k_val)
+
+
+def _log_mu_at(curve: _Curve, t: float) -> float:
+    """ln mu where t(mu) = t: Newton on ln t(e^u) - ln t, whose slope is the
+    fourth value of ``curve.at``, bisecting whenever a step leaves the bracket."""
+    def f(u):
+        tm, _, _, slope = curve.at(math.exp(u))
+        return math.log(float(tm) / t), float(slope)
+
+    # d ln t / d ln mu <= min(mu max(sigma), 1/(mu min(sigma))): beyond this
+    # bracket t(mu) is within e^-40 of t0 or t_inf, and so is K
+    lo = -math.log(curve.sig.max()) - 40.0
+    hi = -math.log(curve.sig.min()) + 40.0
+    if f(lo)[0] >= 0:
+        return lo
+    if f(hi)[0] <= 0:
+        return hi
+    u = 0.5 * (lo + hi)
+    for _ in range(200):
+        gap, slope = f(u)
+        lo, hi = (u, hi) if gap < 0.0 else (lo, u)
+        nxt = u - gap / slope if slope > 0.0 else math.inf
+        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
+        if abs(nxt - u) <= 2e-12 + 8.9e-16 * abs(u):    # brentq's default tolerance
+            return nxt
+        u = nxt
+    return u
 
 
 def _validate_minimizer(couple, geo, t, x, y, k_val, directions: int = 64,

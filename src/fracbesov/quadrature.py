@@ -14,6 +14,13 @@ halves the step, reusing every node, until two successive levels agree to
 the same tolerance. A window or a step that cannot be certified raises
 instead of returning a silently truncated or under-resolved value.
 
+Each tail is bounded by ``|f(end)| / rate``, with the caller's power of
+lambda at that end as the rate. That holds when the local log-decay past the
+end is at least the rate. Callers pass exact powers, but for three lower
+bounds: ``frac_resolvent`` at 0 (alpha; alpha + 1 for an injective A),
+``frac_power_via_semigroup`` at infinity (1; the decay is exponential) and
+the subordination kernel at 0 (1; the stable density is flat to all orders).
+
 Other ranges are mapped onto (0, inf) first: a fixed lower limit by
 ``lambda = c (1 + mu)``, a finite range [u_min, u_max] of length L by
 ``u = u_min + ln((1 + mu) / (1 + mu e^{-L}))``.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +38,6 @@ _H_START = 1.0       # node spacing at which the window is certified
 _MAX_NODES = 1 << 18
 _CHUNK = 1 << 12     # midpoints per integrand call
 _MAX_WIDENINGS = 60
-_SLOPE_WINDOW = 9
-_MIN_RATE = 1e-3
 _U_ABS_CAP = 690.0  # exp() overflow guard
 
 
@@ -68,43 +73,22 @@ class QuadratureDiagnostics:
         return self.tail_low + self.tail_high
 
 
-def _end_rate(u: np.ndarray, mags: np.ndarray, left: bool) -> tuple[float, bool]:
-    """Least-squares log-slope of the magnitude profile at one end.
-
-    Returns (outward decay rate, decaying flag). Rate is positive when the
-    integrand shrinks toward the boundary.
-    """
-    w = min(_SLOPE_WINDOW, len(u))
-    idx = slice(0, w) if left else slice(len(u) - w, len(u))
-    uu, mm = u[idx], mags[idx]
-    pos = mm > 0
-    if pos.sum() < 3:
-        return np.inf, True  # numerically zero tail
-    lu, lm = uu[pos], np.log(mm[pos])
-    slope = np.polyfit(lu, lm, 1)[0]
-    rate = slope if left else -slope
-    end_val = mm[0] if left else mm[-1]
-    peak = mags.max()
-    decaying = end_val <= peak * 1e-2 or rate > 0
-    return rate, decaying
-
-
 def integrate_multiplicative(
     f: Callable[[np.ndarray], np.ndarray],
     scale_lo: float,
     scale_hi: float,
     scheme: QuadratureScheme = DEFAULT_SCHEME,
-    decay_lo: Optional[float] = None,
-    decay_hi: Optional[float] = None,
+    *,
+    decay_lo: float,
+    decay_hi: float,
 ) -> tuple[np.ndarray, QuadratureDiagnostics]:
     """Compute int_0^inf f(lambda) dlambda/lambda with certified tails and
     a certified discretization error, or raise QuadratureError.
 
     ``f`` maps an array of lambda values to integrand values (last axis may
     be a vector dimension). ``scale_lo``/``scale_hi`` set the initial window
-    [1e-8*scale_lo, 1e8*scale_hi]; ``decay_lo``/``decay_hi`` are analytic
-    decay-rate hints (powers of lambda at 0 and infinity) used when the
-    measured slope at an end is unreliable.
+    [1e-8*scale_lo, 1e8*scale_hi]; ``decay_lo``/``decay_hi`` are the powers
+    of lambda at which f vanishes at 0 and infinity, the rates of the tails.
 
     The window is widened at node spacing ``_H_START`` until both tails fall
     below ``scheme.tail_tolerance`` times the value. The step is then halved,
@@ -116,6 +100,8 @@ def integrate_multiplicative(
     """
     if not (scale_lo > 0 and scale_hi > 0):
         raise ValueError("scales must be positive")
+    if not (0 < decay_lo < math.inf and 0 < decay_hi < math.inf):
+        raise ValueError("decay rates must be positive and finite")
     u_min = np.log(scale_lo) + np.log(1e-8)
     u_max = np.log(scale_hi) + np.log(1e8)
     if u_min >= u_max:
@@ -140,14 +126,8 @@ def integrate_multiplicative(
         if mags.max() == 0.0:
             return total, QuadratureDiagnostics(u_min, u_max, nodes, 0.0, 0.0, widening, 0.0)
 
-        rate_lo, dec_lo = _end_rate(u, mags, left=True)
-        rate_hi, dec_hi = _end_rate(u, mags, left=False)
-        if not np.isfinite(rate_lo) or rate_lo <= _MIN_RATE:
-            rate_lo = decay_lo if (decay_lo and dec_lo) else _MIN_RATE
-        if not np.isfinite(rate_hi) or rate_hi <= _MIN_RATE:
-            rate_hi = decay_hi if (decay_hi and dec_hi) else _MIN_RATE
-        tail_lo = 0.0 if np.isinf(rate_lo) else float(mags[0]) / max(rate_lo, _MIN_RATE)
-        tail_hi = 0.0 if np.isinf(rate_hi) else float(mags[-1]) / max(rate_hi, _MIN_RATE)
+        tail_lo = float(mags[0]) / decay_lo
+        tail_hi = float(mags[-1]) / decay_hi
 
         budget = tol * max(min(ref, ref_conv), 1e-300)
         if tail_lo > budget or tail_hi > budget:
@@ -158,9 +138,9 @@ def integrate_multiplicative(
             # widen the failing side(s) at the same spacing
             widening += 1
             if tail_lo > budget:
-                u_min -= max(4.0 / max(rate_lo, 0.05), 0.25 * (u_max - u_min))
+                u_min -= max(4.0 / max(decay_lo, 0.05), 0.25 * (u_max - u_min))
             if tail_hi > budget:
-                u_max += max(4.0 / max(rate_hi, 0.05), 0.25 * (u_max - u_min))
+                u_max += max(4.0 / max(decay_hi, 0.05), 0.25 * (u_max - u_min))
             continue
 
         # nested halving: the midpoints of level h are the new nodes of level h/2

@@ -192,8 +192,10 @@ def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
     absx2 = np.abs(np.asarray(x)) ** 2
     sig = eigs ** (2 * complex(alpha).real)
     cx = math.sqrt(float((absx2 * sig).sum()))
+    if cx == 0.0:
+        return 0.0      # x0 = 0, x1 = x costs t ||A^alpha x|| = 0 at every t
     nx = math.sqrt(float(absx2.sum()))
-    t_star = nx / max(cx, 1e-300)
+    t_star = nx / cx
     us = np.linspace(math.log(t_star) - 28.0, math.log(t_star) + 28.0, n_t)
     ts = np.exp(us)
     mus = np.geomspace(1e-14, 1e14, n_mu)[:, None]

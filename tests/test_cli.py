@@ -280,3 +280,20 @@ def test_spectral_norm_command_imports_no_scipy():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_kfun_command_imports_no_scipy():
+    # the scalar K solve is a safeguarded Newton iteration on the curve's own
+    # slope; the t-grid reaches both linear pieces and the curve between them
+    config = json.dumps({"command": "kfun", "operator": "diagonal [0.5,1,2,4,8,16,32]",
+                         "vector": [1, 1, 1, 1, 1, 1, 1], "alpha": 0.75, "theta": 0.5,
+                         "q": 2, "t_grid": {"min": 1e-3, "max": 1e3, "points": 13}})
+    script = ("import sys\n"
+              "import fracbesov, fracbesov.cli\n"
+              f"assert fracbesov.cli.main(['--config', {config!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"

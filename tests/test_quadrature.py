@@ -66,7 +66,7 @@ def test_widening_happens_for_wide_spectra():
 
 def test_zero_integrand_short_circuits():
     val, diag = integrate_multiplicative(lambda lam: 0.0 * lam, 1.0, 1.0,
-                                         QuadratureScheme())
+                                         QuadratureScheme(), decay_lo=1.0, decay_hi=1.0)
     assert val == 0.0
     assert diag.tail_bound == 0.0
 
@@ -75,7 +75,8 @@ def test_uncertifiable_tail_raises():
     # integrand ~ 1/log-decay only: no exponential tail in u, certification fails
     with pytest.raises(TailCertificationError):
         integrate_multiplicative(
-            lambda lam: 1.0 / (1.0 + np.log(lam) ** 2), 1.0, 1.0)
+            lambda lam: 1.0 / (1.0 + np.log(lam) ** 2), 1.0, 1.0,
+            decay_lo=1.0, decay_hi=1.0)
 
 
 def test_unresolvable_integrand_raises():
@@ -101,3 +102,32 @@ def test_window_recertified_against_the_converged_value():
     exact = 0.08 * math.sqrt(math.pi) + 1e-7 * math.pi
     assert max(diag.tail_low, diag.tail_high) <= 1e-10 * abs(val)
     assert abs(val - exact) <= diag.tail_bound + diag.discretization
+
+
+_BETA_GRID = [(a, n) for a in (0.05, 0.25, 0.5, 0.75, 1.5, 2.5) for n in (1, 2, 3, 4) if n > a]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-12])
+@pytest.mark.parametrize("a, n", _BETA_GRID)
+def test_tails_match_the_exact_beta_remainders(a, n, tol):
+    # int lam^a (1+lam)^{-n} dlam/lam beyond lam_end is an incomplete beta
+    # integral in s = lam/(1+lam); the rates a and n-a are its exact powers
+    from scipy.special import beta, betainc
+
+    _, diag = integrate_multiplicative(
+        lambda lam: lam ** a * (1 + lam) ** (-n), 1.0, 1.0,
+        QuadratureScheme(tail_tolerance=tol), decay_lo=a, decay_hi=n - a)
+    b = beta(a, n - a)
+    below = b * betainc(a, n - a, 1.0 / (1.0 + math.exp(-diag.u_min)))
+    above = b * betainc(n - a, a, 1.0 / (1.0 + math.exp(diag.u_max)))
+    assert diag.tail_low / below == pytest.approx(1.0, abs=1e-6)
+    assert diag.tail_high / above == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_decay_rates_must_be_positive_and_finite(bad):
+    f = lambda lam: lam ** 0.5 * (1 + lam) ** (-2)
+    with pytest.raises(ValueError, match="decay rates"):
+        integrate_multiplicative(f, 1.0, 1.0, decay_lo=bad, decay_hi=1.5)
+    with pytest.raises(ValueError, match="decay rates"):
+        integrate_multiplicative(f, 1.0, 1.0, decay_lo=0.5, decay_hi=bad)

@@ -98,3 +98,11 @@ def test_interpolation_norm_on_the_calibration_draws():
                     got = ref.interpolation_norm(eigs, c, alpha, theta, q)
                     want = _dense_interpolation_norm(eigs, c, alpha, theta, q)
                     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("eigs, x", [([0.5, 2.0, 3.0], [0.0, 0.0, 0.0]),
+                                     ([0.0, 1.0], [1.0, 0.0])])
+def test_interpolation_norm_is_zero_when_the_seminorm_vanishes(eigs, x, q):
+    # A^alpha x = 0 lets x1 = x cost nothing, so K(t, x) = 0 at every t
+    assert ref.interpolation_norm(eigs, x, 0.8, 0.4, q) == 0.0
