@@ -177,8 +177,7 @@ def _operator_radius(handle: OperatorHandle, norm: NormKind) -> float:
     singular values otherwise), else the exact induced norm of the
     materialized matrix, which raises NotImplementedError for p-norms with
     p not in {1, 2, inf}."""
-    sd = handle.spectral
-    if norm.kind == "euclidean" and (sd is None or sd.orthonormal):
+    if norm.kind == "euclidean":
         return handle.scales()[1]
     return float(_induced_norms(handle.matrix(), norm))
 

@@ -321,7 +321,7 @@ def frac_power_unified(
     """A^z x from the two-parameter integral over l^{z+a} A^b (l+A)^{-a-b}.
 
     Admissibility: -Re alpha < Re z < Re beta; A must be injective for
-    Re z <= 0.
+    Re z <= 0. ``x`` is a vector (n,) or a block (k, n) of row vectors.
     """
     zc, a, b = _as_complex(z), _as_complex(alpha), _as_complex(beta)
     x = as_array(x)
@@ -344,7 +344,8 @@ def frac_power_unified(
             return _log_multiplier_rows(s, lams, zc + a, b, a + b, coeff)
     else:
         def integrand(lams):
-            return _cpow(lams, zc + a)[:, None] * phi_apply(handle, b, a + b, lams, x)
+            weights = _cpow(lams, zc + a).reshape((-1,) + (1,) * x.ndim)
+            return weights * phi_apply(handle, b, a + b, lams, x)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
                                       decay_lo=zc.real + a.real,
@@ -647,7 +648,7 @@ def reproducing_residual(
 
     an integrand decaying like mu at 0 and like mu^{-m} at infinity, analytic
     in the same strip |Im ln mu| < pi, so the one quadrature rule serves both
-    variants.
+    variants. ``x`` is one vector (n,): the residual is one relative norm.
     """
     a = _as_complex(alpha)
     if a.real <= 0:
@@ -655,6 +656,8 @@ def reproducing_residual(
     if m < 1:
         raise ValueError("m must be a positive integer")
     x = as_array(x)
+    if x.ndim != 1:
+        raise ValueError("reproducing_residual takes one vector (n,), not a block")
     lo, hi = handle.scales()
 
     def tail_integrand(ts):

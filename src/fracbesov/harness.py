@@ -46,7 +46,7 @@ from .fractional import (
 )
 from .gammafn import composition_bound_constant, gamma, moment_constant
 from .interpolation import CoupleSpec, interpolation_norm
-from .operators import OperatorHandle, estimate_nonnegativity_constants
+from .operators import OperatorHandle
 
 DEFAULT_SEED = 20260810
 
@@ -109,7 +109,7 @@ def _make_operator(spec: EnsembleSpec, rng: np.random.Generator) -> OperatorHand
         for _ in range(8):
             m = np.diag(np.sort(diag)) + coupling * upper
             handle = OperatorHandle.dense(m)
-            if estimate_nonnegativity_constants(handle).M <= 50.0:
+            if handle.constants()[0] <= 50.0:
                 return handle
             coupling *= 0.5
         return handle
@@ -192,7 +192,7 @@ class _ProdBackend:
 
 
 class _RefBackend:
-    """Brute-force reference on eigen-coefficients (orthonormal spectral only)."""
+    """Brute-force reference on eigen-coefficients (handles with eigen-data only)."""
     name = "reference"
 
     @staticmethod
@@ -831,14 +831,9 @@ def _run_uniform_bounds(samples, backend, tol):
     for i, s in enumerate(samples):
         out.samples += 1
         handle = s.handle
-        exact = handle.is_self_adjoint_spectral()
-        if exact:
-            m_const = l_const = 1.0
-            alphas = [0.6, 1.4, 0.7 + 0.5j]
-        else:
-            est = estimate_nonnegativity_constants(handle, refine=True)
-            m_const, l_const = est.M, est.L
-            alphas = [0.6, 1.4]
+        exact = handle.spectral is not None
+        m_const, l_const = handle.constants()
+        alphas = [0.6, 1.4, 0.7 + 0.5j] if exact else [0.6, 1.4]
         lo, hi = handle.scales()
         lams = np.geomspace(lo * 1e-4, hi * 1e4, 25 if exact else 9)
         for a in alphas:
@@ -874,7 +869,7 @@ def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
     (c_ratio lam + A)^a (lam+A)^{-a}, one per lam, through the
     eigen-multipliers or materialized matrices."""
     sd = handle.spectral
-    if sd is not None and sd.orthonormal and sd.self_adjoint:
+    if sd is not None:
         mu, lam = sd.eigenvalues[None, :], lams[:, None]
         if kind == "M":
             vals = (lam / (lam + mu)) ** a.real
@@ -901,9 +896,8 @@ def _run_moment(samples, backend, tol):
     for i, s in enumerate(samples):
         out.samples += 1
         handle = s.handle
-        exact = handle.is_self_adjoint_spectral()
-        m_const = 1.0 if exact else estimate_nonnegativity_constants(handle, refine=True).M
-        slack = tol.exact_slack if exact else 1e-6
+        m_const = handle.constants()[0]
+        slack = tol.exact_slack if handle.spectral is not None else 1e-6
         n_w = int(s.rng.integers(1, 4))
         a = float(s.rng.uniform(0.1, n_w - 0.1))
         ax = power_apply(handle, a, s.x)

@@ -72,7 +72,7 @@ class _CoupleGeometry:
                 "K-functional evaluation is restricted to injective operators "
                 "(the seminorm degenerates otherwise); shift the operator first")
         s = handle.spectral
-        if s is not None and s.orthonormal:
+        if s is not None:
             self.sigma = np.exp(2.0 * alpha.real * np.log(s.eigenvalues))
             self._to = s.to_coeff
             self._from = s.from_coeff

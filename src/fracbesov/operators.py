@@ -1,8 +1,9 @@
 """Non-negative operator handles on finite-dimensional complex spaces.
 
 A handle bundles the action of an operator A (matvec + shifted-resolvent
-solve), optional spectral data (eigenvalues plus a diagonalizing transform
-pair), and cached non-negativity constants
+solve), optional spectral data (real eigenvalues plus a unitary diagonalizing
+transform pair), and cached non-negativity constants, exact in the euclidean
+and weighted norms and grid estimates for p in {1, inf}:
 
     M_A = sup_{l>0} ||l (l+A)^{-1}||,     L_A = sup_{l>0} ||A (l+A)^{-1}||.
 
@@ -24,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import golden_section_max
-
 _INJECTIVITY_RTOL = 1e-10
+_LEVEL_SET_RTOL = 1e-12       # stop once no test point beats the level by more
+_LEVEL_SET_CAP = 60           # iterations before the sup is declared unbounded
 
 
 # --------------------------------------------------------------------------
@@ -110,12 +111,10 @@ def as_array(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigenvalues plus a diagonalizing transform pair acting on the last axis."""
+    """Real eigenvalues plus a unitary diagonalizing transform pair on the last axis."""
     eigenvalues: np.ndarray                      # (n,), real
     to_coeff: Callable[[np.ndarray], np.ndarray]
     from_coeff: Callable[[np.ndarray], np.ndarray]
-    orthonormal: bool = True                     # transform preserves euclidean norm
-    self_adjoint: bool = True
 
 
 class SingularResolventError(np.linalg.LinAlgError):
@@ -206,8 +205,7 @@ class OperatorHandle:
         if s is None:
             return OperatorHandle("shifted", base.dim,
                                   matrix=base.matrix() + float(eps) * np.eye(base.dim))
-        spectral = SpectralData(s.eigenvalues + eps, s.to_coeff, s.from_coeff,
-                                s.orthonormal, s.self_adjoint)
+        spectral = SpectralData(s.eigenvalues + eps, s.to_coeff, s.from_coeff)
         return OperatorHandle("shifted", base.dim, spectral=spectral)
 
     @staticmethod
@@ -217,8 +215,7 @@ class OperatorHandle:
         s = base.spectral
         if s is None:
             return OperatorHandle("inverse", base.dim, matrix=np.linalg.inv(base.matrix()))
-        spectral = SpectralData(1.0 / s.eigenvalues, s.to_coeff, s.from_coeff,
-                                s.orthonormal, s.self_adjoint)
+        spectral = SpectralData(1.0 / s.eigenvalues, s.to_coeff, s.from_coeff)
         return OperatorHandle("inverse", base.dim, spectral=spectral)
 
     @staticmethod
@@ -235,7 +232,7 @@ class OperatorHandle:
             power = frac_power(base, exponent, np.eye(base.dim, dtype=complex)).T
             return OperatorHandle("frac_power", base.dim, matrix=power)
         eig = np.where(s.eigenvalues > 0, s.eigenvalues, 0.0) ** exponent
-        spectral = SpectralData(eig, s.to_coeff, s.from_coeff, s.orthonormal, s.self_adjoint)
+        spectral = SpectralData(eig, s.to_coeff, s.from_coeff)
         return OperatorHandle("frac_power", base.dim, spectral=spectral)
 
     # ---- core actions ----
@@ -345,28 +342,29 @@ class OperatorHandle:
         mags = self._spectral_magnitudes()
         return bool(mags.min() > _INJECTIVITY_RTOL * max(mags.max(), 1e-300))
 
-    def is_self_adjoint_spectral(self) -> bool:
-        return self.spectral is not None and self.spectral.orthonormal and self.spectral.self_adjoint
-
     def constants(self, norm: NormKind = EUCLIDEAN) -> tuple[float, float]:
-        """(M_A, L_A): (1, 1) for self-adjoint spectral kinds in the euclidean
-        norm; otherwise the largest exact induced norms of lam (lam+A)^{-1} and
-        A (lam+A)^{-1} over :func:`default_lambda_grid` (the sup between grid
-        points is not searched; see ``estimate_nonnegativity_constants``)."""
+        """(M_A, L_A), once per norm: (1, 1) for eigen-data with eigenvalues
+        >= 0 in the euclidean norm; else the sups (:func:`_euclidean_constants`,
+        raising when they are infinite) in the euclidean, weighted and p = 2
+        norms, and grid (lower) estimates for p in {1, inf}."""
         key = (norm.kind, norm.p, None if norm.weights is None else norm.weights.tobytes())
         if key not in self._constants_cache:
-            if self.is_self_adjoint_spectral() and norm.kind == "euclidean" \
+            if self.spectral is not None and norm.kind == "euclidean" \
                     and np.all(self.spectral.eigenvalues >= 0):
                 self._constants_cache[key] = (1.0, 1.0)
-            else:
+            elif norm.kind == "p" and norm.p != 2:
                 est = estimate_nonnegativity_constants(self, norm=norm)
                 self._constants_cache[key] = (est.M, est.L)
+            else:   # weights D: the similarity D^{1/2} A D^{-1/2} makes the norm euclidean
+                d = np.sqrt(norm.weights) if norm.kind == "weighted" else np.ones(self.dim)
+                b = (d[:, None] * self.matrix()) / d[None, :]
+                self._constants_cache[key] = _euclidean_constants(b)
         return self._constants_cache[key]
 
     def spectral_angle_bound(self, norm: NormKind = EUCLIDEAN) -> float:
         """Upper bound pi - arcsin(1/M_A) on the sectoriality angle."""
         m_const, _ = self.constants(norm)
-        if self.is_self_adjoint_spectral():
+        if self.spectral is not None:
             return 0.0
         return math.pi - math.asin(min(1.0, 1.0 / max(m_const, 1.0)))
 
@@ -393,29 +391,11 @@ def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
     raise NotImplementedError("induced norms support euclidean, weighted and p in {1, 2, inf}")
 
 
-def _resolvent_rows(handle: OperatorHandle, lams: np.ndarray) -> np.ndarray:
-    """(lam+A)^{-1} e_i for every lam and basis vector e_i, one row each,
-    from one batched shifted solve."""
-    n = handle.dim
-    basis = np.tile(np.eye(n, dtype=complex), (len(lams), 1))
-    return handle.resolvent_batch(np.repeat(lams, n), basis)
-
-
-def _block_norms(rows: np.ndarray, norm: NormKind) -> np.ndarray:
-    """Induced norms of the operators whose basis images are the (n, n)
-    blocks of ``rows``."""
-    n = rows.shape[-1]
-    # rows of each (n, n) block are images of basis vectors: transpose to matrices
-    return _induced_norms(rows.reshape(-1, n, n).transpose(0, 2, 1), norm)
-
-
 @dataclass
 class ConstantsEstimate:
     M: float
     L: float
     diverging: bool
-    lam_at_M: float
-    lam_at_L: float
 
 
 def default_lambda_grid(handle: OperatorHandle, points: int = 61) -> np.ndarray:
@@ -427,54 +407,77 @@ def estimate_nonnegativity_constants(
     handle: OperatorHandle,
     lam_grid: Optional[np.ndarray] = None,
     norm: NormKind = EUCLIDEAN,
-    refine: bool = False,
 ) -> ConstantsEstimate:
-    """Grid estimates of M_A and L_A over log-spaced lambda.
+    """Grid estimates of M_A and L_A over log-spaced lambda: lower estimates
+    of the sups that :meth:`OperatorHandle.constants` computes in the
+    euclidean and weighted norms.
 
     The induced norms are exact at every grid point: one batched shifted
     solve over the whole grid, then SVD (euclidean, weighted) or column/row
     sums (p in {1, inf}). Divergence (values still growing at the grid
     endpoints) signals that the operator is not non-negative; it is reported
-    via the ``diverging`` flag, never clamped. ``refine=True`` sharpens the
-    grid maxima by golden-section around the peak.
+    via the ``diverging`` flag, never clamped.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid(handle)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    res = _resolvent_rows(handle, lam_grid)
-    m_vals = lam_grid * _block_norms(res, norm)
-    l_vals = _block_norms(handle.apply(res), norm)
-    i_m = int(np.argmax(m_vals))
-    i_l = int(np.argmax(l_vals))
-    m_best, lam_m = float(m_vals[i_m]), float(lam_grid[i_m])
-    l_best, lam_l = float(l_vals[i_l]), float(lam_grid[i_l])
-    if refine:
-        # each probe solves at its own lam and takes only the norm it maximises
-        def m_at(u: float) -> float:
-            lam = np.array([math.exp(u)])
-            return float((lam * _block_norms(_resolvent_rows(handle, lam), norm))[0])
-
-        def l_at(u: float) -> float:
-            res = _resolvent_rows(handle, np.array([math.exp(u)]))
-            return float(_block_norms(handle.apply(res), norm)[0])
-        m_best, lam_m = _refine_grid_peak(m_at, lam_grid, i_m, m_best)
-        l_best, lam_l = _refine_grid_peak(l_at, lam_grid, i_l, l_best)
+    n = handle.dim       # rows (lam+A)^{-1} e_i: (n, n) blocks are transposed resolvents
+    res = handle.resolvent_batch(np.repeat(lam_grid, n),
+                                 np.tile(np.eye(n, dtype=complex), (len(lam_grid), 1)))
+    m_vals = lam_grid * _induced_norms(res.reshape(-1, n, n).transpose(0, 2, 1), norm)
+    l_vals = _induced_norms(handle.apply(res).reshape(-1, n, n).transpose(0, 2, 1), norm)
+    i_m, i_l = int(np.argmax(m_vals)), int(np.argmax(l_vals))
     # boundary limits the grid cannot attain: lam (lam+A)^{-1} -> I as
     # lam -> inf, and A (lam+A)^{-1} -> I as lam -> 0 for injective A
-    m_best = max(m_best, 1.0)
-    if handle.injective():
-        l_best = max(l_best, 1.0)
+    m_best = max(float(m_vals[i_m]), 1.0)
+    l_best = max(float(l_vals[i_l]), 1.0 if handle.injective() else 0.0)
     edge = (i_m in (0, len(lam_grid) - 1) and m_vals[i_m] > 1.5 * np.median(m_vals)) or \
            (i_l in (0, len(lam_grid) - 1) and l_vals[i_l] > 1.5 * np.median(l_vals))
-    return ConstantsEstimate(m_best, l_best, bool(edge), lam_m, lam_l)
+    return ConstantsEstimate(m_best, l_best, bool(edge))
 
 
-def _refine_grid_peak(f, grid: np.ndarray, i: int, best: float) -> tuple[float, float]:
-    """Golden section of f(ln lam) over the grid cells next to the peak grid[i];
-    the grid value ``best`` stands unless a probe beats it."""
-    u, val = golden_section_max(f, math.log(grid[max(0, i - 1)]),
-                                math.log(grid[min(len(grid) - 1, i + 1)]))
-    return (val, math.exp(u)) if val > best else (best, float(grid[i]))
+def _euclidean_constants(b: np.ndarray) -> tuple[float, float]:
+    """(M, L) of the matrix ``b`` in the euclidean norm, to _LEVEL_SET_RTOL.
+
+    ||l (l+B)^{-1}|| meets a level g where (l+B) w = (l/g) v, (l+B)^H v = (l/g) w;
+    ||B (l+B)^{-1}|| where l w = s p - B w, l p = B^H B w / (g^2 s) - B^H p
+    (p = (l+B) w / s, s = ||B|| / g). Such l are the real eigenvalues of a
+    2n x 2n matrix: the level sets of Boyd & Balakrishnan and Bruinsma &
+    Steinbuch (Systems & Control Letters 15 and 14, 1990). Both sups start
+    from their limits as l -> 0, ||P|| = ||I - P|| with P the projection onto
+    ker B along ran B (1 for injective B). Raises SingularResolventError for
+    an eigenvalue on (-inf, 0), a defective eigenvalue 0 or no convergence."""
+    u, sv, vh = np.linalg.svd(b)
+    tol = _INJECTIVITY_RTOL * sv[0]
+    eigs = np.linalg.eigvals(b)
+    if np.any((np.abs(eigs.imag) <= tol) & (eigs.real < -tol)):
+        raise SingularResolventError("an eigenvalue lies on (-inf, 0): not non-negative")
+    rank = int(np.sum(sv > tol))
+    # P = V0 (U0^H V0)^{-1} U0^H on the null singular vectors, so ||P|| = 1 / s_min(U0^H V0)
+    s_min = np.min(np.linalg.svd(u[:, rank:].conj().T @ vh[rank:].conj().T, compute_uv=False),
+                   initial=1.0)
+    if s_min <= _INJECTIVITY_RTOL:
+        raise SingularResolventError("eigenvalue 0 is defective: not non-negative")
+    bh, scale, eye = b.conj().T, sv[0] or 1.0, np.eye(len(b))
+
+    def level_set_sup(norms, level_matrix):
+        # raise the level to the largest norm between consecutive roots and beyond the
+        # end roots; near-real roots count (a spurious one only adds a test point)
+        gam = 1.0 / s_min
+        for _ in range(_LEVEL_SET_CAP):
+            eig = np.linalg.eigvals(level_matrix(max(gam, 1.0 + _LEVEL_SET_RTOL)))  # M needs g > 1
+            roots = np.sort(eig.real[(eig.real > tol) & (np.abs(eig.imag) <= 1e-2 * eig.real)])
+            tests = np.concatenate([roots[:1] / 2, np.sqrt(roots[1:] * roots[:-1]), roots[-1:] * 2])
+            best = np.max(norms(np.linalg.inv(tests[:, None, None] * eye + b), tests), initial=0.0)
+            if best <= gam * (1.0 + _LEVEL_SET_RTOL):     # no roots, or none beats the level
+                return float(gam)
+            gam = best
+        raise SingularResolventError("the level-set iteration did not settle: not non-negative?")
+
+    return (level_set_sup(lambda res, lams: lams * np.linalg.norm(res, 2, axis=(-2, -1)),
+                          lambda g: np.block([[b, bh / g], [b / g, bh]]) / (g ** -2 - 1.0)),
+            level_set_sup(lambda res, lams: np.linalg.norm(b @ res, 2, axis=(-2, -1)),
+                          lambda g: np.block([[-b, scale / g * eye], [bh @ b / (g * scale), -bh]])))
 
 
 # --------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def test_unified_and_reproducing_on_a_nonnormal_matrix():
     assert reproducing_residual(h, 0.5, 1, 1.0, x) <= 1e-9
 
 
+@pytest.mark.parametrize("handle", [OperatorHandle.diagonal(np.geomspace(0.3, 8.0, 6)),
+                                    OperatorHandle.dense(UPPER6)], ids=["diagonal", "dense"])
+def test_unified_takes_blocks_and_reproducing_takes_one_vector(handle):
+    block = np.random.default_rng(12).normal(size=(2, 6)) + 0j
+    got = frac_power_unified(handle, 0.4, 0.5, 1.0, block)
+    want = power_apply(handle, 0.4, block)
+    assert got.shape == (2, 6)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for lam_cut in (0.0, 1.0):
+        with pytest.raises(ValueError, match="one vector"):
+            reproducing_residual(handle, 0.5, 1, lam_cut, block)
+
+
 def test_unified_nonspectral_composition():
     from scipy.linalg import fractional_matrix_power as fmp
     m = np.array([[1.0, 0.6], [0.0, 2.0]])
@@ -496,17 +509,16 @@ def test_uniform_composition_bounds_hold_on_grid():
     rng = np.random.default_rng(8)
     m = np.diag([0.5, 1.5, 4.0]) + 0.3 * np.triu(rng.normal(size=(3, 3)), 1)
     h = OperatorHandle.dense(m)
-    from fracbesov.operators import estimate_nonnegativity_constants
-    est = estimate_nonnegativity_constants(h, refine=True)
+    m_const, l_const = h.constants()
     a = 0.6
     c_bound = composition_bound_constant(a, 1)
     for lam in np.geomspace(1e-3, 1e3, 13):
         mat_m = np.stack([lam ** a * phi_apply(h, 0.0, a, lam, e)
                           for e in np.eye(3, dtype=complex)], axis=1)
-        assert np.linalg.norm(mat_m, 2) <= c_bound * est.M * (1 + 1e-8)
+        assert np.linalg.norm(mat_m, 2) <= c_bound * m_const * (1 + 1e-8)
         mat_l = np.stack([phi_apply(h, a, a, lam, e)
                           for e in np.eye(3, dtype=complex)], axis=1)
-        assert np.linalg.norm(mat_l, 2) <= c_bound * est.L * (1 + 1e-8)
+        assert np.linalg.norm(mat_l, 2) <= c_bound * l_const * (1 + 1e-8)
 
 
 def test_moment_inequality_sample():

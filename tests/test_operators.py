@@ -222,10 +222,10 @@ def test_inverse_swaps_constants():
     rng = _rng(11)
     m = np.diag([0.5, 1.0, 3.0]) + 0.4 * np.triu(rng.normal(size=(3, 3)), 1)
     h = OperatorHandle.dense(m)
-    est = estimate_nonnegativity_constants(h, refine=True)
-    est_inv = estimate_nonnegativity_constants(OperatorHandle.inverse(h), refine=True)
-    assert est_inv.M == pytest.approx(est.L, rel=1e-3)
-    assert est_inv.L == pytest.approx(est.M, rel=1e-3)
+    m_const, l_const = h.constants()
+    m_inv, l_inv = OperatorHandle.inverse(h).constants()
+    assert m_inv == pytest.approx(l_const, rel=1e-10)
+    assert l_inv == pytest.approx(m_const, rel=1e-10)
 
 
 def test_constants_selfadjoint_exact():
@@ -246,13 +246,13 @@ def test_constants_resolvent_bounds_hold():
     rng = _rng(13)
     m = np.diag([0.3, 1.0, 2.0, 7.0]) + 0.5 * np.triu(rng.normal(size=(4, 4)), 1)
     h = OperatorHandle.dense(m)
-    est = estimate_nonnegativity_constants(h, refine=True)
+    m_const, l_const = h.constants()
     for lam in np.geomspace(1e-4, 1e4, 17):
         for _ in range(5):
             x = rng.normal(size=4) + 1j * rng.normal(size=4)
             r = h.resolvent(lam, x)
-            assert lam * np.linalg.norm(r) <= est.M * np.linalg.norm(x) * (1 + 1e-9)
-            assert np.linalg.norm(h.apply(r)) <= est.L * np.linalg.norm(x) * (1 + 1e-9)
+            assert lam * np.linalg.norm(r) <= m_const * np.linalg.norm(x) * (1 + 1e-9)
+            assert np.linalg.norm(h.apply(r)) <= l_const * np.linalg.norm(x) * (1 + 1e-9)
 
 
 def _resolvent_stack(m, lams):
@@ -296,6 +296,99 @@ def test_constants_cache_tells_weights_apart():
     c2 = h.constants(NormKind("weighted", weights=w2))
     assert c1 == h.constants()
     assert c2 != c1
+
+
+def _scan_constants(a, lams, which):
+    """lam ||(lam+A)^{-1}|| ("M") or ||A (lam+A)^{-1}|| ("L") at each lam, from
+    the singular values of lam + A or of I + lam A^{-1} (A injective)."""
+    eye = np.eye(a.shape[0])
+    if which == "M":
+        return lams / np.linalg.svd(lams[:, None, None] * eye + a, compute_uv=False)[:, -1]
+    return 1.0 / np.linalg.svd(eye + lams[:, None, None] * np.linalg.inv(a),
+                               compute_uv=False)[:, -1]
+
+
+def _assert_scan_sups(got, a, points, zoom):
+    """``got`` = (M, L) lies within 1e-9 above the sups of a scan at ``points``
+    log-spaced lam on [s_min 1e-4, s_max 1e4], each rescanned at ``zoom`` lam
+    over the two cells around its maximum, with the limit 1 (lam -> inf for
+    M, lam -> 0 for L) that no scan attains, and never below them."""
+    a = a.real if not a.imag.any() else a
+    sv = np.linalg.svd(a, compute_uv=False)
+    lams = np.geomspace(sv[-1] * 1e-4, sv[0] * 1e4, points)
+    for value, which in zip(got, "ML"):
+        vals = _scan_constants(a, lams, which)
+        i = int(np.argmax(vals))
+        cells = np.geomspace(lams[max(i - 1, 0)], lams[min(i + 1, points - 1)], zoom)
+        scan = max(1.0, vals[i], _scan_constants(a, cells, which).max())
+        assert scan * (1 - 1e-12) <= value <= scan * (1 + 1e-9)
+
+
+def test_constants_are_the_sups_of_a_dense_scan():
+    from fracbesov.harness import EnsembleSpec, _make_operator
+    rng = _rng(2024)
+    for k in range(30):
+        spec = EnsembleSpec("nonnormal_upper", {"n": 5 + k % 2, "coupling": 0.4})
+        h = _make_operator(spec, rng)
+        _assert_scan_sups(h.constants(), h.matrix(), 20001, 2001)
+    h = _make_operator(EnsembleSpec("nonnormal_upper", {"n": 6, "coupling": 0.4}), rng)
+    w = np.geomspace(1.0, 50.0, 6)
+    d = np.sqrt(w)
+    _assert_scan_sups(h.constants(NormKind("weighted", weights=w)),
+                      (d[:, None] * h.matrix()) / d[None, :], 20001, 2001)
+    # a 64 x 64 sample, scanned at 2001 + 1001 points
+    h = _make_operator(EnsembleSpec("nonnormal_upper", {"n": 64, "coupling": 0.4}), rng)
+    _assert_scan_sups(h.constants(), h.matrix(), 2001, 1001)
+
+
+def test_constants_find_a_peak_between_grid_points():
+    # two Jordan-type blocks s [[1, b], [0, 1]]: for b = 8 the peak of
+    # lam ||(lam+A)^{-1}|| is 17/8, placed on the default grid node lam = 1;
+    # the slightly higher b = 8.05 peak sits halfway between two grid nodes,
+    # where the grid reads it below 17/8
+    from scipy.optimize import minimize_scalar
+
+    def block_m(lam, b):
+        beta = b / (lam + 1.0)
+        return lam / (lam + 1.0) * (beta + math.sqrt(beta * beta + 4.0)) / 2.0
+
+    def peak(b):
+        r = minimize_scalar(lambda u: -block_m(math.exp(u), b), bounds=(-5.0, 5.0),
+                            method="bounded", options={"xatol": 1e-12})
+        return math.exp(r.x), -r.fun
+
+    (lam1, high1), (lam2, high2) = peak(8.0), peak(8.05)
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[1.0, 8.0], [0.0, 1.0]]
+    a[:2, :2] /= lam1
+    a[2:4, 2:4] = [[1.0, 8.05], [0.0, 1.0]]
+    a[2:4, 2:4] *= 10 ** -1.9 / lam2
+    a[4, 4] = 1e3                                # fixes the grid: 10^(-3 + k/5)
+    h = OperatorHandle.dense(a)
+    assert high2 > high1 == pytest.approx(17 / 8, rel=1e-12)
+    assert estimate_nonnegativity_constants(h).M == pytest.approx(high1, rel=1e-12)
+    assert h.constants()[0] == pytest.approx(high2, rel=1e-12)
+
+
+def test_constants_p1_and_pinf_keep_the_grid():
+    h = OperatorHandle.dense(_upper_nonnormal())
+    for p in (1, math.inf):
+        norm = NormKind("p", p=p)
+        est = estimate_nonnegativity_constants(h, norm=norm)
+        assert h.constants(norm) == (est.M, est.L)
+
+
+@pytest.mark.parametrize("spec", ["dense [[-1, 0.3], [0, 2]]",   # lam + A singular at lam = 1
+                                  "dense [[0, 1], [0, 0]]",      # defective eigenvalue 0
+                                  "dense [[-1, 0], [0, 2]]"])    # Hermitian, with eigen-data
+def test_constants_raise_when_not_nonnegative(spec):
+    h = build_operator(spec)
+    with pytest.raises(SingularResolventError):
+        h.constants()
+    est = estimate_nonnegativity_constants(h)     # the grid still reads finite values
+    assert math.isfinite(est.M) and math.isfinite(est.L)
+    if spec == "dense [[-1, 0.3], [0, 2]]":
+        assert not est.diverging
 
 
 def test_spectral_angle_bound():
