@@ -36,8 +36,7 @@ import numpy as np
 from .fractional import SemigroupUnavailableError, _cpow, phi_apply, power_apply
 from .operators import (EUCLIDEAN, NormKind, OperatorHandle, _induced_norms, as_array,
                         vector_norm, vector_norms)
-from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, golden_section_max,
-                         integrate_multiplicative)
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, cell_sup, integrate_multiplicative
 
 _J_CAP = 64
 _NORMAL_MIN = sys.float_info.min
@@ -382,8 +381,13 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     ``tail_bound`` is the enclosure width with the model's excess and the
     head's tails and discretization carried through the 1/q power; above
     ``tail_tolerance`` times the value it raises TailError. For q = inf the
-    sup is a 32-point-per-octave scan refined by golden-section search, and
-    ``tail_bound`` covers the model tail only.
+    sup is one :func:`cell_sup` from cells 32 to an octave, its slack in
+    ``tail_bound``. With v = e^{u(s + Re alpha)} A^beta (e^u + A)^{-c} x, c =
+    alpha + beta, R = e^u (e^u + A)^{-1}: v'' = ((s + Re alpha) - c R)^2 v -
+    c R (I - R) v, so G = ||v|| is a sup of functions with second derivative
+    >= -C G, C = (|s + Re alpha| + |c| M)^2 + |c| M L, (M, L) =
+    ``handle.constants(norm)`` (grid estimates for p in {1, inf}), and
+    G <= max(G_a, G_b) / (1 - C w^2 / 8) on a cell of width w.
     """
     x = as_array(x)
     a, b = complex(idx.alpha), complex(idx.beta)
@@ -401,12 +405,19 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     span = u_max - u_min
     model_end = model.const * math.exp(model.rate * u_max)
     if math.isinf(q):
-        us = np.linspace(u_min, u_max, int(math.ceil(32 * span / math.log(2.0))) + 1)
-        gs = g_many(us)
-        i_star = int(np.argmax(gs))
-        _, g_star = golden_section_max(lambda u: g_many(np.array([u]))[0],
-                                       us[max(i_star - 1, 0)], us[min(i_star + 1, len(us) - 1)])
-        head = head_lo = head_hi = max(g_star, float(gs[0]))
+        m_a, l_a = handle.constants(norm)
+        curv = (abs(idx.s + a.real) + abs(a + b) * m_a) ** 2 + abs(a + b) * m_a * l_a
+
+        def bound(ua, ub, ga, gb):      # ln of max(G_a, G_b) / (1 - C w^2 / 8)
+            room = 1.0 - curv * (ub - ua) ** 2 / 8.0
+            return np.maximum(ga[0], gb[0]) - np.log(room, out=np.full_like(room, -np.inf),
+                                                     where=room > 0.0)
+
+        best, slack = (-math.inf, 0.0) if model.const == 0.0 else cell_sup(
+            lambda us: np.log(g_many(us)), bound, u_min, u_max,
+            int(math.ceil(32 * span / math.log(2.0))), tol / 16)
+        head = head_lo = math.exp(best)
+        head_hi = math.exp(best + slack)
         tail = model_end
     else:
         shrink = math.exp(-span)

@@ -99,15 +99,7 @@ def _as_complex_cfg(value, key: str) -> complex:
 def _as_vector(value, key: str = "vector") -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list")
-    out = np.empty(len(value), dtype=complex)
-    for i, v in enumerate(value):
-        if isinstance(v, (int, float)):
-            out[i] = complex(v)
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
-            out[i] = complex(v[0], v[1])
-        else:
-            raise ConfigError(f"{key}[{i}] must be a number or [re, im] pair")
-    return out
+    return np.array([_as_complex_cfg(v, f"{key}[{i}]") for i, v in enumerate(value)])
 
 
 def _q_value(raw) -> float:
@@ -116,6 +108,29 @@ def _q_value(raw) -> float:
     if isinstance(raw, (int, float)) and raw > 0:
         return float(raw)
     raise ConfigError(f"q must be a positive number or \"inf\", got {raw!r}")
+
+
+def _int_value(raw, key: str, least: Optional[int] = None) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or (least is not None and raw < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{key} must be an integer{floor}, got {raw!r}")
+    return raw
+
+
+def _positive_value(raw, key: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 < raw < math.inf:
+        raise ConfigError(f"{key} must be a positive finite number, got {raw!r}")
+    return float(raw)
+
+
+def _sub_config(raw: dict, key: str, allowed: set) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    bad = set(value) - allowed
+    if bad:
+        raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
+    return value
 
 
 def parse_config(source: str) -> RunConfig:
@@ -143,7 +158,7 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}")
 
     cfg = RunConfig(command=command)
-    cfg.seed = int(raw.get("seed", DEFAULT_SEED))
+    cfg.seed = _int_value(raw.get("seed", DEFAULT_SEED), "seed")
     cfg.output_path = raw.get("output")
     cfg.format = raw.get("format", "json")
     if cfg.format not in ("json", "csv"):
@@ -166,14 +181,10 @@ def parse_config(source: str) -> RunConfig:
             rng = np.random.default_rng(cfg.seed)
             cfg.vector = rng.normal(size=handle.dim) + 1j * rng.normal(size=handle.dim)
 
-    if "quadrature" in raw:
-        qd = raw["quadrature"]
-        if not isinstance(qd, dict):
-            raise ConfigError("quadrature must be an object")
-        bad = set(qd) - {"tail_tolerance"}
-        if bad:
-            raise ConfigError(f"unknown quadrature keys: {sorted(bad)}")
-        cfg.scheme = QuadratureScheme(**qd)
+    qd = _sub_config(raw, "quadrature", {"tail_tolerance"})
+    if "tail_tolerance" in qd:
+        cfg.scheme = QuadratureScheme(
+            _positive_value(qd["tail_tolerance"], "quadrature.tail_tolerance"))
 
     if command == "power":
         cfg.exponent = _as_complex_cfg(raw.get("exponent", 0.5), "exponent")
@@ -198,30 +209,24 @@ def parse_config(source: str) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"index: {exc}") from exc
-        cfg.tail_tolerance = float(raw.get("tail_tolerance", 1e-8))
+        cfg.tail_tolerance = _positive_value(raw.get("tail_tolerance", 1e-8), "tail_tolerance")
     elif command == "kfun":
         cfg.alpha = _as_complex_cfg(raw.get("alpha", 1.0), "alpha")
         cfg.theta = float(raw.get("theta", 0.5))
         if not 0.0 < cfg.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
         cfg.q = _q_value(raw.get("q", 2.0))
-        if "t_grid" in raw:
-            tg = raw["t_grid"]
-            bad = set(tg) - {"min", "max", "points"}
-            if bad:
-                raise ConfigError(f"unknown t_grid keys: {sorted(bad)}")
-            cfg.t_grid.update(tg)
+        cfg.t_grid.update(_sub_config(raw, "t_grid", {"min", "max", "points"}))
+        tg = cfg.t_grid
+        if not _positive_value(tg["max"], "t_grid.max") > _positive_value(tg["min"], "t_grid.min"):
+            raise ConfigError(f"t_grid.max must exceed t_grid.min, got {tg['max']!r}")
+        _int_value(tg["points"], "t_grid.points", 1)
     elif command == "verify":
         suite = raw.get("suite", "all")
         cfg.suite = _parse_suite(suite)
         if "ensemble" in raw:
-            ens = raw["ensemble"]
-            bad = set(ens) - {"count"}
-            if bad:
-                raise ConfigError(f"unknown ensemble keys: {sorted(bad)}")
-            cfg.ensemble_count = int(ens["count"])
-            if cfg.ensemble_count < 1:
-                raise ConfigError("ensemble count must be >= 1")
+            cfg.ensemble_count = _int_value(
+                _sub_config(raw, "ensemble", {"count"}).get("count"), "ensemble.count", 1)
     elif command == "report":
         cfg.inputs = raw.get("inputs", [])
         if not isinstance(cfg.inputs, list) or not cfg.inputs:

@@ -63,10 +63,6 @@ def _is_integer(v: float) -> bool:
     return abs(v - round(v)) < 1e-14
 
 
-def _witness(alpha: complex) -> int:
-    return Exponent(alpha).witness_n
-
-
 def _cpow(base: np.ndarray, z: complex) -> np.ndarray:
     """Principal power b^z for b >= 0 (0^z := 0, requires Re z > 0 when hit)."""
     b = np.asarray(base, dtype=float)
@@ -87,7 +83,7 @@ def _representation_order(alpha: complex) -> int:
     """Integer n > Re alpha for the real-integral representation; bumped by
     one when the lambda^{Re alpha - n} decay at infinity would be too slow
     to truncate (the representation is independent of n > Re alpha)."""
-    n = _witness(alpha)
+    n = Exponent(alpha).witness_n
     if n - alpha.real < _DECAY_MARGIN:
         n += 1
     return n
@@ -296,14 +292,19 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x) -> np.ndarray:
         raise ValueError("lam must be a scalar or a 1-D array")
     if not np.all(lams > 0):
         raise ValueError("phi_apply needs lam > 0")
-    scalar = lams.ndim == 0
-    lams = np.atleast_1d(lams)
+    y = _weighted_rows(handle, 0.0, b, g, np.atleast_1d(lams), x)
+    return y[0] if lams.ndim == 0 else y
+
+
+def _weighted_rows(handle: OperatorHandle, pre: complex, b: complex, g: complex,
+                   lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows (or blocks) lam_i^pre A^b (lam_i + A)^{-g} x: spectral multipliers
+    with eigen-data, else :func:`_contour_apply`."""
     s = handle.spectral
     if s is not None:
-        y = _log_multiplier_rows(s, lams, 0.0, b, g, s.to_coeff(x))
-    else:
-        y = _contour_apply(handle, b, g, lams, x)
-    return y[0] if scalar else y
+        return _log_multiplier_rows(s, lams, pre, b, g, s.to_coeff(x))
+    rows = _contour_apply(handle, b, g, lams, x)
+    return rows if pre == 0 else _cpow(lams, pre).reshape((-1,) + (1,) * x.ndim) * rows
 
 
 # --------------------------------------------------------------------------
@@ -335,17 +336,9 @@ def frac_power_unified(
         raise ValueError("Re z <= 0 needs an injective operator")
     pref = unified_prefactor(zc, a, b)
     lo, hi = handle.scales()
-    s = handle.spectral
 
-    if s is not None:
-        coeff = s.to_coeff(x)
-
-        def integrand(lams):
-            return _log_multiplier_rows(s, lams, zc + a, b, a + b, coeff)
-    else:
-        def integrand(lams):
-            weights = _cpow(lams, zc + a).reshape((-1,) + (1,) * x.ndim)
-            return weights * phi_apply(handle, b, a + b, lams, x)
+    def integrand(lams):
+        return _weighted_rows(handle, zc + a, b, a + b, lams, x)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
                                       decay_lo=zc.real + a.real,
@@ -661,10 +654,7 @@ def reproducing_residual(
     lo, hi = handle.scales()
 
     def tail_integrand(ts):
-        s = handle.spectral
-        if s is not None:
-            return _log_multiplier_rows(s, ts, a, m, a + m, s.to_coeff(x))
-        return _cpow(ts, a)[:, None] * phi_apply(handle, float(m), a + m, ts, x)
+        return _weighted_rows(handle, a, complex(m), a + m, ts, x)
 
     pref_tail = gamma(a + m) / (gamma(a) * gamma(m))
     if lam_cut == 0:

@@ -24,9 +24,8 @@ sigma_b the b-weighted mean of sigma. The right side is >= 0 (zero only when
 x lies in one eigenspace of B, where t0 = t_inf), so t(mu) is monotone: the
 scalar K is one bracketed root solve, and the interpolation integral over t is
 one quadrature over mu with this Jacobian, plus both tails in closed form.
-The sup (q = inf) sits where the elasticity d ln K / d ln t = mu g^2 / (d^2 +
-mu g^2) crosses theta; it can cross several times, so the crossings are
-isolated by a certified bisection in ln mu and compared.
+The sup (q = inf) is one certified branch and bound over cells in ln mu,
+with a closed-form bound per cell (:func:`_curve_sup`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .besov import NormResult
 # module as its example of a name patched where it is looked up
 from .fractional import frac_power, power_apply  # noqa: F401
 from .operators import EUCLIDEAN, NormKind, OperatorHandle, as_array
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, integrate_multiplicative
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, cell_sup, integrate_multiplicative
 
 
 @dataclass(frozen=True)
@@ -74,22 +73,15 @@ class _CoupleGeometry:
         s = handle.spectral
         if s is not None:
             self.sigma = np.exp(2.0 * alpha.real * np.log(s.eigenvalues))
-            self._to = s.to_coeff
-            self._from = s.from_coeff
+            self.coords, self.reconstruct = s.to_coeff, s.from_coeff
         else:
             # rows of the block are the images of the basis vectors
             cmat = power_apply(handle, alpha, np.eye(handle.dim, dtype=complex)).T
             bmat = cmat.conj().T @ cmat
             sig, u = np.linalg.eigh(0.5 * (bmat + bmat.conj().T))
             self.sigma = np.clip(sig.real, 0.0, None)
-            self._to = lambda v: u.conj().T @ v
-            self._from = lambda c: u @ c
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        return self._to(x)
-
-    def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        return self._from(c)
+            self.coords = lambda v: u.conj().T @ v
+            self.reconstruct = lambda c: u @ c
 
 
 class _Curve:
@@ -120,12 +112,6 @@ class _Curve:
         sig_b = (b * self.sig).sum(-1) / sb
         spread = (b * (self.sig - sig_b[..., None]) ** 2).sum(-1)
         return np.sqrt(sa / sas), mu * np.sqrt(sas), np.sqrt(sa), mu * sb * spread / (sa * sas)
-
-    def log_profile(self, u: float, theta: float) -> tuple[float, float]:
-        """ln(t^-theta K(t)) at t = t(e^u), and the elasticity d ln K / d ln t."""
-        t, d, g, _ = self.at(math.exp(u))
-        k = d + t * g
-        return float(math.log(k) - theta * math.log(t)), float(t * g / k)
 
 
 def k_functional(
@@ -182,7 +168,7 @@ def _log_mu_at(curve: _Curve, t: float) -> float:
         lo, hi = (u, hi) if gap < 0.0 else (lo, u)
         nxt = u - gap / slope if slope > 0.0 else math.inf
         nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
-        if abs(nxt - u) <= 2e-12 + 8.9e-16 * abs(u):    # brentq's default tolerance
+        if abs(nxt - u) <= 2e-12 + 8.9e-16 * abs(u):    # scipy's default bracketing tolerance
             return nxt
         u = nxt
     return u
@@ -212,43 +198,34 @@ def _validate_minimizer(couple, geo, t, x, y, k_val, directions: int = 64,
 
 
 def _curve_sup(curve: _Curve, theta: float, tol: float) -> tuple[float, float]:
-    """max over mu of L = ln(t^-theta K) on the curve, and a bound on its error.
+    """max over mu of L = ln(t^-theta K) on the curve, and its slack, by :func:`cell_sup`.
 
-    The maxima are downward crossings of the elasticity e(u) = d ln K / d ln t
-    through theta (u = ln mu), and there can be several, one per separated
-    cluster of sigma. Since |de/du| <= 1/4 and dL/du = (e - theta) J with
-    0 <= J <= 1, a cell of width w whose ends sit s = |e_a - theta| +
-    |e_b - theta| from theta holds sign excursions at most D = (w/4 - s)/2
-    deep, and L inside it exceeds its ends and its downward root by at most
-    w D. Cells that could still beat the best value by more than tol are halved.
+    In u = ln mu, dL/du = f J with f = e - theta, e = d ln K / d ln t, 0 <= J <= 1
+    and |df/du| <= 1/4. So on a cell of width w, L exceeds its left end by at
+    most T(f_a, f_b, w) and its right end by at most T(-f_a, -f_b, w), where
+    T(p, q, w) = int_0^w max(0, min(p + s/4, q + (w - s)/4)) ds is the area of
+    a clipped triangle: second order at the downward crossings, where the maxima sit.
     """
-    from scipy.optimize import brentq
-
     c = (1.0 - theta) / theta
     # mu sigma_min <= mu / t^2 = 1/e - 1 <= mu sigma_max: e > theta below lo, < theta above hi
-    lo = math.log(0.5 * c / curve.sig.max())
-    hi = math.log(2.0 * c / curve.sig.min())
-    best, slack = -math.inf, 0.0
-    cells = [(lo, hi, *curve.log_profile(lo, theta), *curve.log_profile(hi, theta), None)]
-    while cells:
-        ua, ub, la, ea, lb, eb, root = cells.pop()
-        top = max(la, lb)
-        if root is None and ea > theta > eb:
-            root = brentq(lambda u: curve.log_profile(u, theta)[1] - theta, ua, ub)
-        if root is not None:
-            top = max(top, curve.log_profile(root, theta)[0])
-        best = max(best, top)
-        width = ub - ua
-        gain = width * max(0.0, width / 4.0 - abs(ea - theta) - abs(eb - theta)) / 2.0
-        if top + gain <= best + tol:
-            slack = max(slack, top + gain - best)
-            continue
-        um = 0.5 * (ua + ub)
-        lm, em = curve.log_profile(um, theta)
-        left = root is not None and root <= um
-        cells.append((ua, um, la, ea, lm, em, root if left else None))
-        cells.append((um, ub, lm, em, lb, eb, root if root is not None and not left else None))
-    return best, slack
+
+    def profile(us):
+        t, d, g, _ = curve.at(np.exp(us))
+        k = d + t * g
+        return np.array([np.log(k) - theta * np.log(t), t * g / k - theta])
+
+    def rise(p, q, w):
+        # the tent min(p + s/4, q + (w - s)/4) peaks at s*, clipped to [0, w]
+        s_c = np.clip(2.0 * (q - p) + 0.5 * w, 0.0, w)
+        return 2.0 * (np.maximum(p + s_c / 4, 0.0) ** 2 - np.maximum(p, 0.0) ** 2
+                      + np.maximum(q + (w - s_c) / 4, 0.0) ** 2 - np.maximum(q, 0.0) ** 2)
+
+    def bound(ua, ub, ra, rb):
+        w = ub - ua
+        return np.minimum(ra[0] + rise(ra[1], rb[1], w), rb[0] + rise(-ra[1], -rb[1], w))
+
+    return cell_sup(profile, bound, math.log(0.5 * c / curve.sig.max()),
+                    math.log(2.0 * c / curve.sig.min()), 1, tol)
 
 
 def interpolation_norm(

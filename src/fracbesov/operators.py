@@ -344,15 +344,16 @@ class OperatorHandle:
 
     def constants(self, norm: NormKind = EUCLIDEAN) -> tuple[float, float]:
         """(M_A, L_A), once per norm: (1, 1) for eigen-data with eigenvalues
-        >= 0 in the euclidean norm; else the sups (:func:`_euclidean_constants`,
-        raising when they are infinite) in the euclidean, weighted and p = 2
-        norms, and grid (lower) estimates for p in {1, inf}."""
+        >= 0 in the euclidean norm; else the sups (:func:`_euclidean_constants`)
+        in the euclidean, weighted and p = 2 norms, and grid (lower) estimates
+        for p in {1, inf}, all raising when A is not non-negative."""
         key = (norm.kind, norm.p, None if norm.weights is None else norm.weights.tobytes())
         if key not in self._constants_cache:
             if self.spectral is not None and norm.kind == "euclidean" \
                     and np.all(self.spectral.eigenvalues >= 0):
                 self._constants_cache[key] = (1.0, 1.0)
             elif norm.kind == "p" and norm.p != 2:
+                _nonnegative_kernel(self.matrix())
                 est = estimate_nonnegativity_constants(self, norm=norm)
                 self._constants_cache[key] = (est.M, est.L)
             else:   # weights D: the similarity D^{1/2} A D^{-1/2} makes the norm euclidean
@@ -436,17 +437,10 @@ def estimate_nonnegativity_constants(
     return ConstantsEstimate(m_best, l_best, bool(edge))
 
 
-def _euclidean_constants(b: np.ndarray) -> tuple[float, float]:
-    """(M, L) of the matrix ``b`` in the euclidean norm, to _LEVEL_SET_RTOL.
-
-    ||l (l+B)^{-1}|| meets a level g where (l+B) w = (l/g) v, (l+B)^H v = (l/g) w;
-    ||B (l+B)^{-1}|| where l w = s p - B w, l p = B^H B w / (g^2 s) - B^H p
-    (p = (l+B) w / s, s = ||B|| / g). Such l are the real eigenvalues of a
-    2n x 2n matrix: the level sets of Boyd & Balakrishnan and Bruinsma &
-    Steinbuch (Systems & Control Letters 15 and 14, 1990). Both sups start
-    from their limits as l -> 0, ||P|| = ||I - P|| with P the projection onto
-    ker B along ran B (1 for injective B). Raises SingularResolventError for
-    an eigenvalue on (-inf, 0), a defective eigenvalue 0 or no convergence."""
+def _nonnegative_kernel(b: np.ndarray) -> tuple[float, float]:
+    """(||b||, ||P||) in the euclidean norm, P the projection onto ker b along
+    ran b; raises SingularResolventError for an eigenvalue on (-inf, 0) or a
+    defective eigenvalue 0, where b is non-negative in no norm."""
     u, sv, vh = np.linalg.svd(b)
     tol = _INJECTIVITY_RTOL * sv[0]
     eigs = np.linalg.eigvals(b)
@@ -458,12 +452,28 @@ def _euclidean_constants(b: np.ndarray) -> tuple[float, float]:
                    initial=1.0)
     if s_min <= _INJECTIVITY_RTOL:
         raise SingularResolventError("eigenvalue 0 is defective: not non-negative")
-    bh, scale, eye = b.conj().T, sv[0] or 1.0, np.eye(len(b))
+    return float(sv[0]), 1.0 / s_min
+
+
+def _euclidean_constants(b: np.ndarray) -> tuple[float, float]:
+    """(M, L) of the matrix ``b`` in the euclidean norm, to _LEVEL_SET_RTOL.
+
+    ||l (l+B)^{-1}|| meets a level g where (l+B) w = (l/g) v, (l+B)^H v = (l/g) w;
+    ||B (l+B)^{-1}|| where l w = s p - B w, l p = B^H B w / (g^2 s) - B^H p
+    (p = (l+B) w / s, s = ||B|| / g). Such l are the real eigenvalues of a
+    2n x 2n matrix: the level sets of Boyd & Balakrishnan and Bruinsma &
+    Steinbuch (Systems & Control Letters 15 and 14, 1990). Both sups start
+    from their limits as l -> 0, ||P|| = ||I - P|| with P the projection onto
+    ker B along ran B (1 for injective B). Raises SingularResolventError for
+    an eigenvalue on (-inf, 0), a defective eigenvalue 0 or no convergence."""
+    norm_b, norm_p = _nonnegative_kernel(b)
+    tol = _INJECTIVITY_RTOL * norm_b
+    bh, scale, eye = b.conj().T, norm_b or 1.0, np.eye(len(b))
 
     def level_set_sup(norms, level_matrix):
         # raise the level to the largest norm between consecutive roots and beyond the
         # end roots; near-real roots count (a spurious one only adds a test point)
-        gam = 1.0 / s_min
+        gam = norm_p
         for _ in range(_LEVEL_SET_CAP):
             eig = np.linalg.eigvals(level_matrix(max(gam, 1.0 + _LEVEL_SET_RTOL)))  # M needs g > 1
             roots = np.sort(eig.real[(eig.real > tol) & (np.abs(eig.imag) <= 1e-2 * eig.real)])

@@ -13,6 +13,8 @@ window until the estimated tails fall below the scheme's tolerance, then
 halves the step, reusing every node, until two successive levels agree to
 the same tolerance. A window or a step that cannot be certified raises
 instead of returning a silently truncated or under-resolved value.
+:func:`cell_sup` is the one sup, a branch and bound over cells certified by
+the caller's bound per cell; both q = inf profiles use it.
 
 Each tail is bounded by ``|f(end)| / rate``, with the caller's power of
 lambda at that end as the rate. That holds when the local log-decay past the
@@ -38,6 +40,7 @@ _H_START = 1.0       # node spacing at which the window is certified
 _MAX_NODES = 1 << 18
 _CHUNK = 1 << 12     # midpoints per integrand call
 _MAX_WIDENINGS = 60
+_MAX_HALVINGS = 60   # cell levels of cell_sup
 _U_ABS_CAP = 690.0  # exp() overflow guard
 
 
@@ -176,30 +179,33 @@ def _evaluate(f, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def golden_section_max(f: Callable[[float], float], lo: float,
-                       hi: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi].
+def cell_sup(evaluate: Callable, bound: Callable, lo: float, hi: float, cells: int,
+             tol: float) -> tuple[float, float]:
+    """(best, slack) with best <= sup f <= best + slack <= best + tol on [lo, hi].
 
-    Stops after 60 steps or once the bracket is narrower than
-    ``1e-12 * max(1, |lo|)``; returns the midpoint of the final bracket and
-    f there.
+    ``evaluate(us)`` returns records (k, len(us)) with f as row 0, and
+    ``bound(ua, ub, rec_a, rec_b)`` bounds f on each cell from the records at
+    its ends. From ``cells`` equal cells, those whose bound cannot beat the
+    best value by more than tol are dropped and the rest halved, one
+    ``evaluate`` call per level, until _MAX_HALVINGS levels or _MAX_NODES cells.
     """
-    if hi <= lo:
-        return float(lo), float(f(lo))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if hi - lo < 1e-12 * max(1.0, abs(lo)):
+    us = np.linspace(lo, hi, cells + 1)
+    recs = np.atleast_2d(evaluate(us))
+    best, dropped = float(recs[0].max()), -math.inf     # dropped: largest dropped bound
+    ua, ub, ra, rb = us[:-1], us[1:], recs[:, :-1], recs[:, 1:]
+    for _ in range(_MAX_HALVINGS):
+        tops = bound(ua, ub, ra, rb)
+        keep = ~(tops <= best + tol)     # a NaN bound is halved, never trusted
+        dropped = max(dropped, float(tops[~keep].max(initial=-math.inf)))
+        if not keep.any():
+            return best, max(dropped - best, 0.0)
+        if keep.sum() > _MAX_NODES:
             break
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return float(mid), float(f(mid))
+        ua, ub, ra, rb = ua[keep], ub[keep], ra[:, keep], rb[:, keep]
+        um = 0.5 * (ua + ub)
+        rm = np.atleast_2d(evaluate(um))
+        best = max(best, float(rm[0].max()))
+        ua, ub = np.concatenate([ua, um]), np.concatenate([um, ub])
+        ra, rb = np.concatenate([ra, rm], axis=1), np.concatenate([rm, rb], axis=1)
+    raise QuadratureError(f"sup not certified: {int(keep.sum())} cells still bounded "
+                          f"above {best:.6e} + {tol:.1e}")

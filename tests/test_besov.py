@@ -523,6 +523,88 @@ def test_continuous_certified_within_the_default_tolerance(handle, q):
         assert 0.0 < r.tail_bound <= 1e-9 * r.value
 
 
+def _scan_sup(log_profile, u_lo, u_hi, points=400001):
+    """max of exp(log_profile(us)) over ``points`` equally spaced us, in chunks."""
+    us = np.linspace(u_lo, u_hi, points)
+    return max(float(np.exp(log_profile(chunk)).max()) for chunk in np.array_split(us, 8))
+
+
+def _diagonal_log_profile(eigs, x, idx):
+    # ln G(u), G(u) = e^{u(s+alpha)} ||A^beta (e^u+A)^{-alpha-beta} x||, in log space
+    le, lw = np.log(eigs), np.log(np.abs(x) ** 2)
+    c = idx.alpha + idx.beta
+
+    def log_profile(us):
+        terms = lw + 2 * idx.beta * le - 2 * c * np.logaddexp(us[:, None], le)
+        top = terms.max(axis=1, keepdims=True)
+        log_sq = top[:, 0] + np.log(np.exp(terms - top).sum(axis=1))
+        return us * (idx.s + idx.alpha) + 0.5 * log_sq
+    return log_profile
+
+
+def _sup_draw(rng, cluster):
+    if cluster:
+        eigs = np.concatenate([np.exp(rng.uniform(math.log(1e-2), math.log(1e-1), 3)),
+                               np.exp(rng.uniform(math.log(1e2), math.log(1e3), 3))])
+    else:
+        eigs = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), 6))
+    alpha, beta = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 2.0))
+    s = float(rng.uniform(-alpha + 0.1, min(beta, 2.0 - alpha) - 0.1))
+    idx = BesovIndex(s, math.inf, int(rng.integers(-2, 3)), alpha, beta)
+    return eigs, rng.normal(size=6) + 1j * rng.normal(size=6), idx
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["log_uniform", "two_cluster"])
+def test_continuous_sup_bound_covers_a_dense_scan(cluster):
+    # 30 draws each: the certified sup, widened by tail_bound, reaches the
+    # largest value of G on 400001 points; the scan misses the true sup by
+    # at most C h^2 / 8 < 1e-8 of it (h <= 1e-4, C <= 28)
+    rng = np.random.default_rng(19 + cluster)
+    for _ in range(30):
+        eigs, x, idx = _sup_draw(rng, cluster)
+        r = continuous_quasi_norm(OperatorHandle.diagonal(eigs), idx, x)
+        u_lo = idx.k * math.log(2.0)
+        scan = r.leading + _scan_sup(_diagonal_log_profile(eigs, x, idx), u_lo,
+                                     max(u_lo, math.log(eigs.max())) + 20.0)
+        assert r.tail_bound <= 1e-9 * r.value
+        assert scan <= r.value + r.tail_bound + 1e-13 * r.value
+        assert r.value <= scan + 1e-8 * r.value
+
+
+def test_continuous_sup_bound_covers_a_dense_scan_without_eigen_data():
+    # a 5x5 handle drawn as the nonnormal_upper ensemble draws them: the cell
+    # bound takes M_A and L_A from handle.constants(), here above 1
+    rng = np.random.default_rng(0)
+    diag = np.sort(np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=5)))
+    m = np.diag(diag) + 0.4 * np.triu(rng.normal(size=(5, 5)), 1)
+    h = OperatorHandle.dense(m)
+    assert h.spectral is None and h.constants()[0] > 1.5
+    x = rng.normal(size=5) + 1j * rng.normal(size=5)
+    idx = BesovIndex(0.6, math.inf, 1, 0.0, 1.0)
+    r = continuous_quasi_norm(h, idx, x)
+    # G(u) = e^{0.6 u} ||A (e^u + A)^{-1} x|| through the eigenvectors of A
+    lam, vec = np.linalg.eig(m)
+    coef = np.linalg.solve(vec, x)
+
+    def log_profile(us):
+        rows = (lam * coef / (np.exp(us)[:, None] + lam)) @ vec.T
+        return 0.6 * us + np.log(np.linalg.norm(rows, axis=1))
+
+    scan = r.leading + _scan_sup(log_profile, math.log(2.0), math.log(2.0) + 30.0)
+    assert r.tail_bound <= 1e-9 * r.value
+    assert scan <= r.value + r.tail_bound + 1e-12 * r.value
+    assert r.value <= scan + 1e-8 * r.value
+
+
+@pytest.mark.parametrize("eigs, x", [([1.0, 4.0], [0.0, 0.0]), ([0.0, 4.0], [1.0, 0.0])],
+                         ids=["zero", "kernel"])
+def test_continuous_sup_of_a_zero_profile(eigs, x):
+    # A^beta x = 0 makes G vanish everywhere: no log of 0 (a RuntimeWarning)
+    idx = BesovIndex(0.5, math.inf, 0, 0.0, 1.0)
+    r = continuous_quasi_norm(OperatorHandle.diagonal(eigs), idx, np.array(x, dtype=complex))
+    assert (r.sum_part, r.tail_bound) == (0.0, 0.0)
+
+
 # ------------------------------------------------ log-space reference sums ----
 
 def _pinned_diag32(seed: int) -> np.ndarray:

@@ -74,6 +74,44 @@ def test_tolerance_key_of_another_variant_rejected(variant, key, value):
                      f'"variant": "{variant}", "{key}": {value}}}')
 
 
+_BASES = {
+    "kfun": {"command": "kfun", "operator": "diagonal [1,4]", "vector": [1, 1]},
+    "norm": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1]},
+    "continuous": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1],
+                   "variant": "continuous"},
+    "verify": {"command": "verify", "suite": "embed_q"},
+}
+
+
+@pytest.mark.parametrize("base, extra, key", [
+    ("kfun", {"seed": 1.5}, "seed"),
+    ("verify", {"seed": "7"}, "seed"),
+    ("verify", {"ensemble": {"count": 2.5}}, "ensemble.count"),
+    ("verify", {"ensemble": {"count": 0}}, "ensemble.count"),
+    ("verify", {"ensemble": {}}, "ensemble.count"),
+    ("verify", {"ensemble": 3}, "ensemble"),
+    ("kfun", {"t_grid": 5}, "t_grid"),
+    ("kfun", {"t_grid": {"min": 0}}, "t_grid.min"),
+    ("kfun", {"t_grid": {"min": -1e-3, "max": 1.0}}, "t_grid.min"),
+    ("kfun", {"t_grid": {"min": "small"}}, "t_grid.min"),
+    ("kfun", {"t_grid": {"min": 10.0, "max": 1.0}}, "t_grid.max"),
+    ("kfun", {"t_grid": {"min": 1.0, "max": 1.0}}, "t_grid.max"),
+    ("kfun", {"t_grid": {"points": 0}}, "t_grid.points"),
+    ("kfun", {"t_grid": {"points": 2.5}}, "t_grid.points"),
+    ("norm", {"tail_tolerance": 0}, "tail_tolerance"),
+    ("norm", {"tail_tolerance": -1e-8}, "tail_tolerance"),
+    ("norm", {"tail_tolerance": "1e-8"}, "tail_tolerance"),
+    ("norm", {"tail_tolerance": math.inf}, "tail_tolerance"),
+    ("continuous", {"quadrature": {"tail_tolerance": 0.0}}, "quadrature.tail_tolerance"),
+    ("continuous", {"quadrature": {"tail_tolerance": math.nan}}, "quadrature.tail_tolerance"),
+    ("continuous", {"quadrature": {"tail_tolerance": True}}, "quadrature.tail_tolerance"),
+])
+def test_invalid_value_exits_2_naming_its_key(base, extra, key, capsys):
+    assert main(["--config", json.dumps({**_BASES[base], **extra})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{key} must" in err, err
+
+
 def test_parse_error_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"command": "power",\n  "operator": oops}')

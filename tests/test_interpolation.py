@@ -1,6 +1,10 @@
 """K-functional and interpolation quasi-norms against brute-force scans."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from fracbesov import reference as ref
 from fracbesov.interpolation import CoupleSpec, _CoupleGeometry, interpolation_norm, k_functional
 from fracbesov.operators import NormKind, OperatorHandle
-from fracbesov.quadrature import DEFAULT_SCHEME, integrate_multiplicative
+from fracbesov.quadrature import DEFAULT_SCHEME, cell_sup, integrate_multiplicative
 
 DIAG14 = OperatorHandle.diagonal([1.0, 4.0])
 ONES2 = np.array([1.0, 1.0], dtype=complex)
@@ -255,3 +259,51 @@ def test_couple_geometry_without_eigen_data_matches_scipy(seed, a):
     sigma = np.sort(_CoupleGeometry(CoupleSpec(h, a, 0.5, 2.0)).sigma)
     want = np.sort(np.linalg.svd(fmp(m, a), compute_uv=False) ** 2)
     assert np.abs(sigma - want).max() <= 1e-12 * want.max()
+
+
+def test_curve_sup_tent_bound_covers_random_cells(monkeypatch):
+    # the cell bound of the q = inf sup, taken from its cell_sup call, against
+    # 201 points inside each of 30 random cells of 40 random 2-8 point
+    # diagonals; the sup itself against a 200001-point scan of the curve
+    import fracbesov.interpolation as interp
+    seen = []
+
+    def recording(evaluate, bound, lo, hi, cells, tol):
+        seen.append((evaluate, bound, lo, hi))
+        return cell_sup(evaluate, bound, lo, hi, cells, tol)
+
+    monkeypatch.setattr(interp, "cell_sup", recording)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        eigs = np.exp(rng.uniform(-4.0, 4.0, n))
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        theta = float(rng.uniform(0.2, 0.8))
+        res = interpolation_norm(CoupleSpec(OperatorHandle.diagonal(eigs),
+                                            float(rng.uniform(0.3, 1.5)), theta, math.inf), x)
+        evaluate, bound, lo, hi = seen.pop()
+        scan = float(np.exp(evaluate(np.linspace(lo, hi, 200001))[0].max()))
+        assert scan <= (res.value + res.tail_bound) * (1.0 + 1e-13)
+        ua = rng.uniform(lo, hi, 30)
+        ub = np.minimum(ua + np.exp(rng.uniform(-6.0, 1.0, 30)), hi)
+        tops = bound(ua, ub, evaluate(ua), evaluate(ub))
+        inside = evaluate(np.linspace(ua, ub, 201).ravel())[0].reshape(201, 30)
+        assert np.all(inside.max(axis=0) <= tops + 1e-13)
+
+
+def test_sup_on_a_diagonal_imports_no_scipy():
+    # the q = inf sup is a branch and bound on the curve's own records, with
+    # no root solve, so a diagonal couple loads no scipy module
+    script = ("import math, sys\n"
+              "import numpy as np\n"
+              "from fracbesov.interpolation import CoupleSpec, interpolation_norm\n"
+              "from fracbesov.operators import OperatorHandle\n"
+              "h = OperatorHandle.diagonal([0.5, 1, 2, 4, 8, 16, 32])\n"
+              "r = interpolation_norm(CoupleSpec(h, 0.75, 0.5, math.inf), np.ones(7))\n"
+              "assert r.value > 0 and r.tail_bound <= 1e-9 * r.value\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"

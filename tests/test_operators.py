@@ -391,6 +391,15 @@ def test_constants_raise_when_not_nonnegative(spec):
         assert not est.diverging
 
 
+@pytest.mark.parametrize("p", [1, math.inf])
+@pytest.mark.parametrize("spec", ["dense [[-1, 0.3], [0, 2]]", "dense [[0, 1], [0, 0]]"])
+def test_p_norm_constants_raise_when_not_nonnegative(spec, p):
+    # non-negativity does not depend on the norm: the grid branch for
+    # p in {1, inf} runs the euclidean branch's checks before its grid
+    with pytest.raises(SingularResolventError, match="not non-negative"):
+        build_operator(spec).constants(NormKind("p", p=p))
+
+
 def test_spectral_angle_bound():
     assert OperatorHandle.diagonal([1.0, 2.0]).spectral_angle_bound() == 0.0
     h = OperatorHandle.dense([[1.0, 10.0], [0.0, 1.0]])

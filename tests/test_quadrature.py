@@ -10,6 +10,7 @@ from fracbesov.quadrature import (
     QuadratureError,
     QuadratureScheme,
     TailCertificationError,
+    cell_sup,
     integrate_multiplicative,
 )
 
@@ -131,3 +132,48 @@ def test_decay_rates_must_be_positive_and_finite(bad):
         integrate_multiplicative(f, 1.0, 1.0, decay_lo=bad, decay_hi=1.5)
     with pytest.raises(ValueError, match="decay rates"):
         integrate_multiplicative(f, 1.0, 1.0, decay_lo=0.5, decay_hi=bad)
+
+
+# ------------------------------------------------------------------ cell_sup ----
+
+def _two_peaks(us):
+    # a wide peak of height 1 at 0 and a narrow one of height 1.5 at 0.3,
+    # 1e-3 wide: the 8 initial cells on [-2, 2] see only the wide one
+    return np.array([np.exp(-us ** 2) + 1.5 * np.exp(-((us - 0.3) / 1e-3) ** 2)])
+
+
+def _lipschitz_bound(ua, ub, ra, rb):
+    # |f'| <= 1 + 1.5 sqrt(2/e) / 1e-3 < 1300, so the sup on a cell is at most
+    # the mean of its ends plus 1300 times half its width
+    return 0.5 * (ra[0] + rb[0]) + 650.0 * (ub - ua)
+
+
+def test_cell_sup_finds_a_narrow_peak_the_initial_cells_miss():
+    assert _two_peaks(np.linspace(-2.0, 2.0, 9))[0].max() < 1.1
+    best, slack = cell_sup(_two_peaks, _lipschitz_bound, -2.0, 2.0, 8, 1e-6)
+    # the narrow peak at spacing 1e-9, which misses its top by at most 4e-13
+    sup = _two_peaks(0.3 + np.linspace(-1e-4, 1e-4, 200001))[0].max()
+    assert sup > 2.4
+    assert 0.0 <= slack <= 1e-6
+    assert sup - 1e-6 <= best <= sup + 1e-12
+    assert sup <= best + slack + 1e-15
+
+
+def test_cell_sup_slack_covers_a_known_sup():
+    # f = -(u - 1/3)^2 has sup 0 at a point no halving reaches, and f'' = -2
+    # puts f below the larger end value plus w^2 / 4 on a cell of width w
+    def chord(ua, ub, ra, rb):
+        return np.maximum(ra[0], rb[0]) + (ub - ua) ** 2 / 4.0
+
+    best, slack = cell_sup(lambda us: np.array([-(us - 1.0 / 3.0) ** 2]), chord,
+                           -1.0, 2.0, 3, 1e-9)
+    assert best < 0.0 <= best + slack
+    assert slack <= 1e-9
+
+
+def test_cell_sup_raises_when_a_bound_never_tightens():
+    def loose(ua, ub, ra, rb):
+        return np.maximum(ra[0], rb[0]) + 1.0
+
+    with pytest.raises(QuadratureError, match="sup not certified"):
+        cell_sup(_two_peaks, loose, -2.0, 2.0, 1, 1e-6)
