@@ -1,6 +1,7 @@
 """Fractional powers of non-negative operators and operator-adapted Besov
-quasi-norms on finite-dimensional spaces, with a randomized verification
-harness for the structural identities connecting them."""
+quasi-norms on finite-dimensional spaces. The randomized verification
+harness for the structural identities connecting them is
+``fracbesov.harness``, which this package does not import."""
 
 from .besov import (
     BesovIndex,
@@ -33,13 +34,6 @@ from .fractional import (
     subordination_kernel,
 )
 from .gammafn import gamma
-from .harness import (
-    EnsembleSpec,
-    EquivalenceReport,
-    ToleranceProfile,
-    run_check,
-    run_suite,
-)
 from .interpolation import CoupleSpec, interpolation_norm, k_functional
 from .operators import (
     EUCLIDEAN,

@@ -35,14 +35,8 @@ from .besov import (
     semigroup_quasi_norm,
 )
 from .fractional import frac_power
-from .harness import (
-    DEFAULT_SEED,
-    SUITE_ORDER,
-    reports_payload,
-    run_suite,
-)
 from .interpolation import CoupleSpec, k_functional
-from .operators import OperatorHandle, build_operator
+from .operators import DEFAULT_SEED, OperatorHandle, build_operator
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme
 
 
@@ -69,7 +63,7 @@ class RunConfig:
     command: str
     operator_spec: Optional[str] = None
     handle: Optional[OperatorHandle] = None  # built once from operator_spec
-    vector: Optional[np.ndarray] = None
+    vector: Optional[np.ndarray] = None  # drawn from seed by execute() when absent
     exponent: complex = 0.5
     variant: str = "inhomogeneous"
     index: Optional[BesovIndex] = None
@@ -77,7 +71,7 @@ class RunConfig:
     q: float = 2.0
     alpha: complex = 1.0
     t_grid: dict = field(default_factory=lambda: {"min": 1e-6, "max": 1e6, "points": 33})
-    suite: list = field(default_factory=lambda: list(SUITE_ORDER))
+    suite: Optional[list] = None  # None runs every check
     ensemble_count: Optional[int] = None
     seed: int = DEFAULT_SEED
     output_path: Optional[str] = None
@@ -177,9 +171,6 @@ def parse_config(source: str) -> RunConfig:
             if cfg.vector.size != handle.dim:
                 raise ConfigError(
                     f"vector has dimension {cfg.vector.size}, operator has {handle.dim}")
-        elif raw.get("vector") is None:
-            rng = np.random.default_rng(cfg.seed)
-            cfg.vector = rng.normal(size=handle.dim) + 1j * rng.normal(size=handle.dim)
 
     qd = _sub_config(raw, "quadrature", {"tail_tolerance"})
     if "tail_tolerance" in qd:
@@ -235,6 +226,8 @@ def parse_config(source: str) -> RunConfig:
 
 
 def _parse_suite(suite) -> list:
+    from .harness import SUITE_ORDER
+
     if suite == "all" or suite is None:
         return list(SUITE_ORDER)
     if isinstance(suite, str):
@@ -347,6 +340,8 @@ def _exec_kfun(cfg: RunConfig) -> int:
 
 
 def _exec_verify(cfg: RunConfig) -> int:
+    from .harness import reports_payload, run_suite
+
     reports = run_suite(cfg.suite, seed=cfg.seed,
                         count_override=cfg.ensemble_count)
     payload = reports_payload(reports)
@@ -396,6 +391,13 @@ _EXECUTORS = {
 
 
 def execute(cfg: RunConfig) -> int:
+    if cfg.handle is not None and cfg.vector is None:
+        # drawn here, once every override of the seed is applied
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0 to draw the vector, got {cfg.seed}")
+        rng = np.random.default_rng(cfg.seed)
+        n = cfg.handle.dim
+        cfg.vector = rng.normal(size=n) + 1j * rng.normal(size=n)
     return _EXECUTORS[cfg.command](cfg)
 
 

@@ -3,21 +3,24 @@ the fractional-power integrals."""
 
 from __future__ import annotations
 
+import math
+
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) for complex z off the non-positive integers, through
-    ``scipy.special.gamma``; raises ZeroDivisionError at a pole.
+    """Gamma(z) for complex z off the non-positive integers; raises
+    ZeroDivisionError at a pole.
 
-    Real arguments go through scipy's real kernel, which is exact at the
-    positive integers, where the complex kernel is off by a few ulp."""
+    Real arguments go through ``math.gamma``, which is exact at the positive
+    integers up to 23 and raises OverflowError past the float range. Complex
+    ones go through ``scipy.special.gamma``, imported on first use."""
+    z = complex(z)
+    if z.imag == 0.0:
+        if z.real <= 0.0 and z.real == int(z.real):
+            raise ZeroDivisionError(f"Gamma pole at z = {z}")
+        return complex(math.gamma(z.real))
     from scipy.special import gamma as _scipy_gamma
 
-    z = complex(z)
-    if z.imag != 0.0:
-        return complex(_scipy_gamma(z))
-    if z.real <= 0.0 and z.real == int(z.real):
-        raise ZeroDivisionError(f"Gamma pole at z = {z}")
-    return complex(_scipy_gamma(z.real))
+    return complex(_scipy_gamma(z))
 
 
 def balakrishnan_prefactor(alpha: complex, n: int) -> complex:

@@ -46,9 +46,7 @@ from .fractional import (
 )
 from .gammafn import composition_bound_constant, gamma, moment_constant
 from .interpolation import CoupleSpec, interpolation_norm
-from .operators import OperatorHandle
-
-DEFAULT_SEED = 20260810
+from .operators import DEFAULT_SEED, OperatorHandle
 
 
 # --------------------------------------------------------------------------

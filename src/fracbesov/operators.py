@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+DEFAULT_SEED = 20260810       # the seed of the suite's ensembles and of drawn vectors
 _INJECTIVITY_RTOL = 1e-10
 _LEVEL_SET_RTOL = 1e-12       # stop once no test point beats the level by more
 _LEVEL_SET_CAP = 60           # iterations before the sup is declared unbounded

@@ -293,6 +293,42 @@ def test_main_suite_flag(tmp_path):
     assert payload["reports"][0]["seed"] == 77
 
 
+@pytest.mark.parametrize("config", [
+    {"command": "power", "operator": "diagonal [1,4,9]", "exponent": 0.5},
+    {"command": "norm", "operator": "diagonal [1,4,9]", "s": 0.5, "q": 2},
+    {"command": "kfun", "operator": "diagonal [1,4,9]",
+     "t_grid": {"min": 0.1, "max": 10.0, "points": 3}},
+], ids=["power", "norm", "kfun"])
+def test_seed_flag_draws_the_vector_of_the_config_seed(config, capsys):
+    assert main(["--config", json.dumps(config), "--seed", "5"]) == 0
+    flag = capsys.readouterr().out
+    assert main(["--config", json.dumps({**config, "seed": 5})]) == 0
+    assert capsys.readouterr().out == flag
+    assert main(["--config", json.dumps(config)]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert {**default, "seed": 5} != json.loads(flag)
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", '{"command": "norm", "operator": "diagonal [1,4]", "seed": -1}'],
+    ["--config", '{"command": "norm", "operator": "diagonal [1,4]"}', "--seed", "-1"],
+], ids=["config", "flag"])
+def test_negative_seed_exits_2_where_the_vector_is_drawn(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "seed must be >= 0" in err, err
+
+
+def test_negative_seed_without_a_drawn_vector(tmp_path, capsys):
+    # a given vector needs no draw, and verify seeds its ensembles itself
+    assert main(["--config", '{"command": "norm", "operator": "diagonal [1,4]", '
+                             '"vector": [1, 1], "seed": -1}']) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
+    out = tmp_path / "suite.json"
+    assert main(["--suite", "embed_q", "--out", str(out), "--seed", "-3"]) == 0
+    assert json.loads(out.read_text())["reports"][0]["seed"] == -3
+
+
 def test_csv_verify_format(tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["--suite", "embed_q", "--out", str(out), "--format", "csv"]) == 0
@@ -303,33 +339,27 @@ def test_csv_verify_format(tmp_path):
 
 # ------------------------------------------------------------------ imports ----
 
-def test_spectral_norm_command_imports_no_scipy():
-    # scipy is imported inside the functions that call it, so a command
-    # whose route needs none of them loads no scipy module at all
-    config = json.dumps({"command": "norm", "operator": "torus_laplacian n=8",
-                         "vector": [1, 0, 2, 0, 1, 0, 0, 1], "s": 0.5, "q": 2,
-                         "beta": 1, "variant": "inhomogeneous"})
-    script = ("import sys\n"
-              "import fracbesov, fracbesov.cli\n"
-              f"assert fracbesov.cli.main(['--config', {config!r}]) == 0\n"
-              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "[]"
-
-
-def test_kfun_command_imports_no_scipy():
+@pytest.mark.parametrize("config", [
+    {"command": "norm", "operator": "torus_laplacian n=8",
+     "vector": [1, 0, 2, 0, 1, 0, 0, 1], "s": 0.5, "q": 2, "beta": 1,
+     "variant": "inhomogeneous"},
     # the scalar K solve is a safeguarded Newton iteration on the curve's own
     # slope; the t-grid reaches both linear pieces and the curve between them
-    config = json.dumps({"command": "kfun", "operator": "diagonal [0.5,1,2,4,8,16,32]",
-                         "vector": [1, 1, 1, 1, 1, 1, 1], "alpha": 0.75, "theta": 0.5,
-                         "q": 2, "t_grid": {"min": 1e-3, "max": 1e3, "points": 13}})
+    {"command": "kfun", "operator": "diagonal [0.5,1,2,4,8,16,32]",
+     "vector": [1, 1, 1, 1, 1, 1, 1], "alpha": 0.75, "theta": 0.5, "q": 2,
+     "t_grid": {"min": 1e-3, "max": 1e3, "points": 13}},
+    # real Gamma factors come from math.gamma
+    {"command": "power", "operator": "diagonal [0.5,1,4]", "vector": [1, 1, 1],
+     "exponent": 1.3},
+], ids=["norm", "kfun", "power"])
+def test_spectral_command_imports_only_its_route(config):
+    # scipy is imported inside the functions that call it and the harness
+    # only by verify, so a spectral command loads neither
     script = ("import sys\n"
               "import fracbesov, fracbesov.cli\n"
-              f"assert fracbesov.cli.main(['--config', {config!r}]) == 0\n"
-              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+              f"assert fracbesov.cli.main(['--config', {json.dumps(config)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
+              "             or m in ('fracbesov.harness', 'fracbesov.reference')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)

@@ -13,7 +13,9 @@ from fracbesov.gammafn import (
     unified_prefactor,
 )
 
-# mpmath.gamma at 40 digits, arguments spanning [0.1, 10] x [-10, 10]i
+# mpmath.gamma at 40 digits, arguments spanning [0.1, 10] x [-10, 10]i, plus
+# real ones next to the integers, where the Balakrishnan prefactor of
+# ``power`` evaluates Gamma(a) and Gamma(n - a), and one below zero
 GAMMA_TABLE = [
     ((0.1, 0.0), (9.51350769866873184, 0.0)),
     ((0.5, 0.0), (1.77245385090551603, 0.0)),
@@ -29,6 +31,12 @@ GAMMA_TABLE = [
     ((9.9, 9.9), (137.83068106537175, -3147.5094521402621)),
     ((0.25, 1.0), (0.0991497587634533544, -0.516617743792885287)),
     ((2.0, -0.001), (0.999999588159743823, -0.000422784253521547625)),
+    ((0.05, 0.0), (19.4700853112555118, 0.0)),
+    ((0.95, 0.0), (1.03145331712903223, 0.0)),
+    ((1.05, 0.0), (0.973504265562775622, 0.0)),
+    ((2.95, 0.0), (1.91076726998153245, 0.0)),
+    ((3.95, 0.0), (5.63676344644552107, 0.0)),
+    ((-2.5, 0.0), (-0.945308720482941881, 0.0)),
 ]
 
 
@@ -39,8 +47,9 @@ def test_reference_table(z, want):
 
 
 def test_integer_factorials():
-    for n in range(1, 12):
-        assert gamma(n) == pytest.approx(math.factorial(n - 1), rel=1e-13)
+    # exact at the positive integers up to 23, as the docstring claims
+    for n in range(1, 24):
+        assert gamma(n) == math.factorial(n - 1)
 
 
 def test_reflection_region():
