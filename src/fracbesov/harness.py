@@ -7,11 +7,24 @@ quasi-norms is encoded as a check over a seeded operator/vector ensemble:
   beyond a 1e-9 slack — they are run in the constant-explicit or termwise
   form in which they are literally true, not as equivalences;
 * ``ratio_bounded`` checks record ratio statistics and compare the observed
-  spread against a ceiling calibrated beforehand on a small diagonal family
-  evaluated by the brute-force reference routines (observed calibration
-  band x safety factor 10);
+  spread against a ceiling calibrated beforehand by the brute-force
+  reference routines on a small family: a 4-point diagonal one, and a
+  band-limited 16-point torus one for ``classical_torus`` (observed
+  calibration band x safety factor 10). Each such check is a generator of
+  (lhs, rhs) pairs run by one driver; a case is degenerate, and adds no
+  ratio, when a side is <= 0 or when its caller-supplied index is
+  inadmissible;
 * ``limit`` and ``grid_verification`` checks test convergence and pointwise
   bounds directly.
+
+Six checks range over a BesovIndex grid that the caller may replace:
+``k_independence``, ``alpha_independence``, ``full_independence``,
+``homog_independence``, ``continuity_equiv`` and ``semigroup_norm``. Their
+default grids live in the registry (``CheckDef.grid``), and a grid entry a
+norm rejects with ValueError counts as degenerate. Every failure record
+states its amount as ``excess``: how far the value lies beyond its bound,
+or, for the identity and limit checks, the deviation itself. A report's
+``max_violation`` is the largest excess, 0.0 when nothing fails.
 
 Reports are deterministic given (suite, config, seed) and serialize to JSON.
 """
@@ -38,12 +51,7 @@ from .besov import (
     inhom_quasi_norm,
     semigroup_quasi_norm,
 )
-from .fractional import (
-    ergodic_limits,
-    phi_apply,
-    power_apply,
-    spectral_frac_power,
-)
+from .fractional import ergodic_limits, phi_apply, power_apply
 from .gammafn import composition_bound_constant, gamma, moment_constant
 from .interpolation import CoupleSpec, interpolation_norm
 from .operators import DEFAULT_SEED, OperatorHandle
@@ -177,7 +185,7 @@ class _ProdBackend:
         return interpolation_norm(CoupleSpec(s.handle, alpha, theta, q), s.x).value
 
     def apply_power(self, s, z, x=None) -> np.ndarray:
-        return spectral_frac_power(s.handle, z, s.x if x is None else x)
+        return power_apply(s.handle, z, s.x if x is None else x)
 
     def power_sample(self, s, a: float) -> Sample:
         return Sample(OperatorHandle.frac_power(s.handle, a), s.x, s.rng)
@@ -326,6 +334,7 @@ class CheckDef:
     runner: Callable
     default_ensembles: list
     calibration: Optional[Callable] = None
+    grid: Optional[list] = None
 
 
 # --------------------------------------------------------------------------
@@ -340,127 +349,93 @@ def _spread_stats(ratios):
 
 
 def _fail_record(i, **kw):
-    rec = {"sample": i}
-    rec.update(kw)
-    return rec
+    return {"sample": i, **kw}
+
+
+def _exceeds(out, i, value, bound, slack, **context):
+    """Record a violation of ``value <= bound`` beyond the relative slack;
+    the record's ``excess`` is ``value - bound``."""
+    excess = value - bound
+    if excess > slack * max(bound, 1e-300):
+        out.violations.append(_fail_record(i, excess=excess, **context))
+
+
+def _admissible(evaluate):
+    """``evaluate()``, or None when it rejects a caller-supplied index."""
+    try:
+        return evaluate()
+    except ValueError:
+        return None
+
+
+def _spread(evaluate):
+    """(max, min) of the values ``evaluate()`` returns at the grid indices,
+    or None when one of them is inadmissible."""
+    vals = _admissible(evaluate)
+    return None if vals is None else (max(vals), min(vals))
+
+
+def _ratio_runner(pairs):
+    """Runner of a ratio check: ``pairs(sample, backend, grid)`` yields one
+    ``(lhs, rhs)`` per case, or None for an inadmissible grid entry. A None
+    or a side <= 0 counts as degenerate; every other case adds lhs / rhs."""
+    def run(samples, backend, tol, grid):
+        out = CheckOutcome()
+        for s in samples:
+            out.samples += 1
+            for pair in pairs(s, backend, grid):
+                if pair is None or pair[0] <= 0 or pair[1] <= 0:
+                    out.degenerate += 1
+                else:
+                    out.ratios.append(pair[0] / pair[1])
+        return out
+    return run
 
 
 # --------------------------------------------------------------------------
-# check implementations (runner(samples, backend, tol) -> CheckOutcome)
+# check implementations: runner(samples, backend, tol, grid) -> CheckOutcome;
+# a ratio check is a generator of (lhs, rhs) pairs wrapped by _ratio_runner
 # --------------------------------------------------------------------------
 
-def _run_k_independence(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    variants = [(0.45, 2.0, 0.25, 1.0), (-0.3, 1.0, 0.6, 0.7)] \
-        if index_grid is None else \
-        [(ix.s, ix.q, ix.alpha, ix.beta) for ix in index_grid]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for (sm, q, a, b) in variants:
-            try:
-                vals = [backend.sum_part(s, BesovIndex(sm, q, k, a, b))
-                        for k in range(-2, 4)]
-            except ValueError:
-                out.degenerate += 1
-                continue
-            vals = [v for v in vals if v > 0]
-            if not vals:
-                out.degenerate += 1
-                continue
-            out.ratios.append(max(vals) / min(vals))
-    return out
+@_ratio_runner
+def _run_k_independence(s, backend, grid):
+    # each grid entry fixes (s, q, alpha, beta); the base level k ranges over -2..3
+    for ix in grid:
+        vals = _admissible(lambda: [
+            backend.sum_part(s, BesovIndex(ix.s, ix.q, k, ix.alpha, ix.beta))
+            for k in range(-2, 4)])
+        vals = [v for v in vals or () if v > 0]
+        yield (max(vals), min(vals)) if vals else None
 
 
-def _run_alpha_independence(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    if index_grid is None:
-        alphas = [0.3, 0.8, 1.5, 0.5 + 0.4j]
-        base = (0.25, 1.5, 0, 1.2)
-    else:
-        alphas = [ix.alpha for ix in index_grid]
-        ix0 = index_grid[0]
-        base = (ix0.s, ix0.q, ix0.k, ix0.beta)
-    sm, q, k, b = base
-    for i, s in enumerate(samples):
-        out.samples += 1
-        try:
-            vals = [backend.sum_part(s, BesovIndex(sm, q, k, a, b)) for a in alphas]
-        except ValueError:
-            out.degenerate += 1
-            continue
-        vals = [v for v in vals if v > 0]
-        if len(vals) < len(alphas):
-            out.degenerate += 1
-            continue
-        out.ratios.append(max(vals) / min(vals))
-    return out
+@_ratio_runner
+def _run_alpha_independence(s, backend, grid):
+    # the grid's alphas at the (s, q, k, beta) of its first entry
+    ix0 = grid[0]
+    yield _spread(lambda: [
+        backend.sum_part(s, BesovIndex(ix0.s, ix0.q, ix0.k, ix.alpha, ix0.beta))
+        for ix in grid])
 
 
-def _run_full_independence(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    if index_grid is None:
-        index_grid = [BesovIndex(0.4, 2.0, k, a, b) for (k, a, b) in
-                      ((0, 0.0, 1.0), (1, 0.5, 1.5), (-1, 1.0, 2.0),
-                       (2, 0.3 + 0.2j, 0.8))]
-    if len({(ix.s, ix.q) for ix in index_grid}) != 1:
+@_ratio_runner
+def _run_full_independence(s, backend, grid):
+    if len({(ix.s, ix.q) for ix in grid}) != 1:
         raise ValueError("full-independence grid must share (s, q)")
-    for i, s in enumerate(samples):
-        out.samples += 1
-        try:
-            vals = [backend.inhom(s, ix) for ix in index_grid]
-        except ValueError:
-            out.degenerate += 1
-            continue
-        if min(vals) <= 0:
-            out.degenerate += 1
-            continue
-        out.ratios.append(max(vals) / min(vals))
-    return out
+    yield _spread(lambda: [backend.inhom(s, ix) for ix in grid])
 
 
-def _run_homog_independence(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    if index_grid is None:
-        index_grid = [BesovIndex(0.3, 1.0, 0, a, b) for (a, b) in
-                      ((0.5, 1.0), (1.0, 1.5), (0.2, 0.7))]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        try:
-            vals = [backend.homog(s, ix) for ix in index_grid]
-        except ValueError:
-            out.degenerate += 1
-            continue
-        if min(vals) <= 0:
-            out.degenerate += 1
-            continue
-        out.ratios.append(max(vals) / min(vals))
-    return out
+@_ratio_runner
+def _run_homog_independence(s, backend, grid):
+    yield _spread(lambda: [backend.homog(s, ix) for ix in grid])
 
 
-def _run_continuity_equiv(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    idxs = index_grid if index_grid is not None else [
-        BesovIndex(0.45, 2.0, 0, 0.25, 1.0),
-        BesovIndex(-0.3, 1.0, 0, 0.6, 0.7),
-        BesovIndex(0.6, math.inf, 1, 0.0, 1.0),
-    ]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for idx in idxs:
-            try:
-                dy = backend.inhom(s, idx)
-                co = backend.continuous(s, idx)
-            except ValueError:
-                out.degenerate += 1
-                continue
-            if dy <= 0 or co <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(dy / co)
-    return out
+@_ratio_runner
+def _run_continuity_equiv(s, backend, grid):
+    for ix in grid:
+        yield _admissible(lambda: (backend.inhom(s, ix), backend.continuous(s, ix)))
 
 
-def _run_embed_q(samples, backend, tol):
+def _run_embed_q(samples, backend, tol, grid):
     out = CheckOutcome()
     q_pairs = [(0.5, 1.0), (1.0, 2.0), (2.0, math.inf)]
     idx0 = BesovIndex(0.5, 2.0, 0, 0.25, 1.0)
@@ -469,14 +444,12 @@ def _run_embed_q(samples, backend, tol):
         out.samples += 1
         blocks = dyadic_blocks(s.handle, js, idx0, s.x)
         for q, q1 in q_pairs:
-            lo_agg, hi_agg = _lq_aggregate(blocks, q1), _lq_aggregate(blocks, q)
-            gap = lo_agg - hi_agg
-            if gap > tol.exact_slack * max(hi_agg, 1e-300):
-                out.violations.append(_fail_record(i, q=q, q1=q1, gap=gap))
+            _exceeds(out, i, _lq_aggregate(blocks, q1), _lq_aggregate(blocks, q),
+                     tol.exact_slack, q=q, q1=q1)
     return out
 
 
-def _run_embed_s(samples, backend, tol):
+def _run_embed_s(samples, backend, tol, grid):
     out = CheckOutcome()
     s_lo, s_hi = 0.2, 0.6
     js = np.arange(0, 48)
@@ -487,162 +460,93 @@ def _run_embed_s(samples, backend, tol):
         b_hi = dyadic_blocks(smp.handle, js, idx_hi, smp.x)
         b_lo = np.exp2(js * (s_lo - s_hi)) * b_hi      # blocks at smoothness s_lo
         for q in (0.5, 1.5, math.inf):
-            gap = _lq_aggregate(b_lo, q) - _lq_aggregate(b_hi, q)
-            if gap > tol.exact_slack * max(_lq_aggregate(b_hi, q), 1e-300):
-                out.violations.append(_fail_record(i, q=q, gap=gap, part="termwise"))
+            _exceeds(out, i, _lq_aggregate(b_lo, q), _lq_aggregate(b_hi, q),
+                     tol.exact_slack, q=q, part="termwise")
         for p, q in pq_pairs:
             c_holder = (1.0 / (1.0 - 2.0 ** ((s_lo - s_hi) * q * p / (q - p)))) ** (1.0 / p - 1.0 / q)
-            gap = _lq_aggregate(b_lo, p) - c_holder * _lq_aggregate(b_hi, q)
-            if gap > tol.exact_slack * max(c_holder * _lq_aggregate(b_hi, q), 1e-300):
-                out.violations.append(_fail_record(i, p=p, q=q, gap=gap, part="hoelder"))
+            _exceeds(out, i, _lq_aggregate(b_lo, p), c_holder * _lq_aggregate(b_hi, q),
+                     tol.exact_slack, p=p, q=q, part="hoelder")
     return out
 
 
-def _run_translation(samples, backend, tol):
-    out = CheckOutcome()
-    cases = [(BesovIndex(0.5, 2.0, 0, 0.25, 1.0), 0.5),
-             (BesovIndex(-0.2, 1.0, 1, 0.5, 0.8), 1.0)]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for idx, eps in cases:
-            base = backend.inhom(s, idx)
-            shifted = backend.inhom(backend.shifted_sample(s, eps), idx)
-            if base <= 0 or shifted <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(shifted / base)
-    return out
+@_ratio_runner
+def _run_translation(s, backend, grid):
+    for idx, eps in ((BesovIndex(0.5, 2.0, 0, 0.25, 1.0), 0.5),
+                     (BesovIndex(-0.2, 1.0, 1, 0.5, 0.8), 1.0)):
+        base = backend.inhom(s, idx)
+        yield backend.inhom(backend.shifted_sample(s, eps), idx), base
 
 
-def _run_lifting_pos(samples, backend, tol):
-    out = CheckOutcome()
-    gammas = [0.3, 0.25 + 0.2j]
+@_ratio_runner
+def _run_lifting_pos(s, backend, grid):
     s_val, q = 0.8, 2.0
-    for i, s in enumerate(samples):
-        out.samples += 1
-        src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.5, 1.5))
-        for g in gammas:
-            y = backend.apply_power(s, g)
-            dst = backend.inhom(s, BesovIndex(s_val - complex(g).real, q, 0, 0.5, 1.5), x=y)
-            if src <= 0 or dst <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(dst / src)
-    return out
+    src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.5, 1.5))
+    for g in (0.3, 0.25 + 0.2j):
+        y = backend.apply_power(s, g)
+        yield backend.inhom(s, BesovIndex(s_val - complex(g).real, q, 0, 0.5, 1.5), x=y), src
 
 
-def _run_lifting_equiv(samples, backend, tol):
-    out = CheckOutcome()
-    gammas = [0.5, 0.3 + 0.2j]
+@_ratio_runner
+def _run_lifting_equiv(s, backend, grid):
     s_val = 0.5
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for q in (1.0, math.inf):
-            src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.0, 1.0))
-            for g in gammas:
-                y = backend.apply_power(s, -complex(g))
-                dst = backend.inhom(
-                    s, BesovIndex(s_val + complex(g).real, q, 0, 0.0,
-                                  math.ceil(s_val + complex(g).real) + 1.0), x=y)
-                if src <= 0 or dst <= 0:
+    for q in (1.0, math.inf):
+        src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.0, 1.0))
+        for g in (0.5, 0.3 + 0.2j):
+            y = backend.apply_power(s, -complex(g))
+            s_dst = s_val + complex(g).real
+            yield backend.inhom(s, BesovIndex(s_dst, q, 0, 0.0, math.ceil(s_dst) + 1.0), x=y), src
+
+
+@_ratio_runner
+def _run_reiteration(s, backend, grid):
+    for a in (1.0 / 3.0, 0.5, 0.75, 1.5):
+        powered = backend.power_sample(s, a)
+        for sm in (0.3, 0.6):
+            for q in (1.0, 2.0, math.inf):
+                yield (backend.inhom(powered, BesovIndex(sm, q, 0, 0.0, math.ceil(sm) + 0.5)),
+                       backend.inhom(s, BesovIndex(sm * a, q, 0, 0.0, math.ceil(sm * a) + 0.5)))
+
+
+@_ratio_runner
+def _run_interpolation(s, backend, grid):
+    shifted = backend.shifted_sample(s, 0.05)
+    for alpha in (0.8, 1.4):
+        for theta in (0.3, 0.6):
+            for q in (1.0, 2.0):
+                yield (backend.interp(shifted, alpha, theta, q),
+                       backend.inhom(shifted, BesovIndex(theta * alpha, q, 0, 0.0,
+                                                         math.floor(theta * alpha) + 1.0)))
+
+
+def _inverse_identity(norm, inverse_norm, s_val, a, b):
+    """Runner of an index-swap identity: the ``norm`` at (-s, alpha=b, beta=a)
+    under A equals the ``inverse_norm`` at (s, alpha=a, beta=b) under A^{-1}."""
+    def run(samples, backend, tol, grid):
+        out = CheckOutcome()
+        for i, s in enumerate(samples):
+            out.samples += 1
+            inv = backend.inverse_sample(s)
+            for q in (1.0, 2.0):
+                lhs = getattr(backend, norm)(s, BesovIndex(-s_val, q, 0, b, a))
+                rhs = getattr(backend, inverse_norm)(inv, BesovIndex(s_val, q, 0, a, b))
+                if rhs <= 0:
                     out.degenerate += 1
                     continue
-                out.ratios.append(dst / src)
-    return out
+                rel = abs(lhs - rhs) / rhs
+                if rel > tol.identity_slack:
+                    out.violations.append(_fail_record(i, q=q, excess=rel))
+        return out
+    return run
 
 
-def _run_reiteration(samples, backend, tol):
-    out = CheckOutcome()
-    alphas = [1.0 / 3.0, 0.5, 0.75, 1.5]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for a in alphas:
-            powered = backend.power_sample(s, a)
-            for sm in (0.3, 0.6):
-                for q in (1.0, 2.0, math.inf):
-                    lhs = backend.inhom(powered, BesovIndex(sm, q, 0, 0.0, math.ceil(sm) + 0.5))
-                    rhs = backend.inhom(s, BesovIndex(sm * a, q, 0, 0.0, math.ceil(sm * a) + 0.5))
-                    if lhs <= 0 or rhs <= 0:
-                        out.degenerate += 1
-                        continue
-                    out.ratios.append(lhs / rhs)
-    return out
+@_ratio_runner
+def _run_inhom_homog_cap(s, backend, grid):
+    for q in (1.0, 2.0):
+        idx = BesovIndex(0.4, q, 0, 0.0, 1.0)
+        yield backend.inhom(s, idx), backend.homog(s, idx) + float(np.linalg.norm(s.x))
 
 
-def _run_interpolation(samples, backend, tol):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        shifted = backend.shifted_sample(s, 0.05)
-        for alpha in (0.8, 1.4):
-            for theta in (0.3, 0.6):
-                for q in (1.0, 2.0):
-                    lhs = backend.interp(shifted, alpha, theta, q)
-                    rhs = backend.inhom(
-                        shifted, BesovIndex(theta * alpha, q, 0, 0.0,
-                                            math.floor(theta * alpha) + 1.0))
-                    if lhs <= 0 or rhs <= 0:
-                        out.degenerate += 1
-                        continue
-                    out.ratios.append(lhs / rhs)
-    return out
-
-
-def _run_inverse_breve(samples, backend, tol):
-    out = CheckOutcome()
-    s_val, a, b = 0.5, 0.7, 1.1
-    for i, s in enumerate(samples):
-        out.samples += 1
-        inv = backend.inverse_sample(s)
-        for q in (1.0, 2.0):
-            lhs = backend.breve(s, BesovIndex(-s_val, q, 0, b, a))
-            rhs = backend.inhom(inv, BesovIndex(s_val, q, 0, a, b))
-            if rhs <= 0:
-                out.degenerate += 1
-                continue
-            rel = abs(lhs - rhs) / rhs
-            out.ratios.append(lhs / rhs)
-            if s.handle.kind == "diagonal" and rel > tol.identity_slack:
-                out.violations.append(_fail_record(i, q=q, rel=rel))
-    return out
-
-
-def _run_inverse_homog(samples, backend, tol):
-    out = CheckOutcome()
-    s_val, a, b = 0.4, 0.6, 1.2
-    for i, s in enumerate(samples):
-        out.samples += 1
-        inv = backend.inverse_sample(s)
-        for q in (1.0, 2.0):
-            lhs = backend.homog(s, BesovIndex(-s_val, q, 0, b, a))
-            rhs = backend.homog(inv, BesovIndex(s_val, q, 0, a, b))
-            if rhs <= 0:
-                out.degenerate += 1
-                continue
-            rel = abs(lhs - rhs) / rhs
-            out.ratios.append(lhs / rhs)
-            if s.handle.kind == "diagonal" and rel > tol.identity_slack:
-                out.violations.append(_fail_record(i, q=q, rel=rel))
-    return out
-
-
-def _run_inhom_homog_cap(samples, backend, tol):
-    out = CheckOutcome()
-    s_val = 0.4
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for q in (1.0, 2.0):
-            idx = BesovIndex(s_val, q, 0, 0.0, 1.0)
-            lhs = backend.inhom(s, idx)
-            rhs = backend.homog(s, idx) + float(np.linalg.norm(s.x))
-            if lhs <= 0 or rhs <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(lhs / rhs)
-    return out
-
-
-def _run_domain_sandwich(samples, backend, tol):
+def _run_domain_sandwich(samples, backend, tol, grid):
     out = CheckOutcome()
     alpha, s_lo, s_hi, beta = 0.6, 0.35, 0.85, 1.2
     n_w = 1           # witness for alpha
@@ -659,9 +563,7 @@ def _run_domain_sandwich(samples, backend, tol):
         for q in (0.5, 1.0, 2.0, math.inf):
             lhs = backend.sum_part(s, BesovIndex(s_lo, q, 0, 0.0, beta))
             geom = 1.0 if math.isinf(q) else (1.0 / (1.0 - 2.0 ** ((s_lo - alpha) * q))) ** (1.0 / q)
-            bound = c0 * geom * n_ax
-            if lhs - bound > tol.exact_slack * max(bound, 1e-300):
-                out.violations.append(_fail_record(i, q=q, side="upper", gap=lhs - bound))
+            _exceeds(out, i, lhs, c0 * geom * n_ax, tol.exact_slack, q=q, side="upper")
             # reverse side: ||A^a x|| against the s_hi sum part
             sp = backend.sum_part(s, BesovIndex(s_hi, q, 0, 0.0, beta))
             g_pref = abs(gamma(beta) / (gamma(alpha) * gamma(beta - alpha)))
@@ -676,12 +578,11 @@ def _run_domain_sandwich(samples, backend, tol):
                 hold = (1.0 / (1.0 - 2.0 ** ((alpha - s_hi) * qp))) ** (1.0 / qp)
             bound2 = g_pref * (composition_bound_constant(beta, m_b) * l_const ** m_b / alpha * n_x
                                + math.log(2.0) * 2.0 ** alpha * c_rd * hold * sp)
-            if n_ax - bound2 > tol.exact_slack * max(bound2, 1e-300):
-                out.violations.append(_fail_record(i, q=q, side="lower", gap=n_ax - bound2))
+            _exceeds(out, i, n_ax, bound2, tol.exact_slack, q=q, side="lower")
     return out
 
 
-def _run_denseness(samples, backend, tol):
+def _run_denseness(samples, backend, tol, grid):
     out = CheckOutcome()
     beta = 1.5
     ms = [4, 8, 12, 16, 20, 24]
@@ -693,17 +594,21 @@ def _run_denseness(samples, backend, tol):
             n_vals = 2.0 ** np.array(ms)
             approx = (n_vals ** beta)[:, None] * phi_apply(s.handle, 0.0, beta, n_vals, s.x)
             gaps = [backend.inhom(s, idx, x=s.x - ap) / max(base, 1e-300) for ap in approx]
-            ok_final = gaps[-1] <= 1e-4 * max(gaps[0], 1e-300)
+            final_bound = 1e-4 * max(gaps[0], 1e-300)
+            ok_final = gaps[-1] <= final_bound
             decrements = np.diff(np.log2(np.maximum(gaps, 1e-280))) / np.diff(ms)
-            ok_rate = np.median(decrements) <= -0.8
+            rate = float(np.median(decrements))
+            ok_rate = rate <= -0.8
             if not (ok_final and ok_rate):
+                # the excess is the larger overshoot: of the final gap past its
+                # bound, or of the median rate past -0.8
                 out.violations.append(_fail_record(
-                    i, s=s_val, final_gap=gaps[-1], first_gap=gaps[0],
-                    median_rate=float(np.median(decrements))))
+                    i, s=s_val, final_gap=gaps[-1], first_gap=gaps[0], median_rate=rate,
+                    excess=max(gaps[-1] - final_bound, rate + 0.8)))
     return out
 
 
-def _run_ergodicity(samples, backend, tol):
+def _run_ergodicity(samples, backend, tol, grid):
     out = CheckOutcome()
     for i, s in enumerate(samples):
         out.samples += 1
@@ -719,71 +624,41 @@ def _run_ergodicity(samples, backend, tol):
                 "limit_at_infinity": np.linalg.norm(lim.limit_at_infinity - s.x),
                 "kernel_split": np.linalg.norm(lim.limit_at_zero - x0),
                 "range_split": np.linalg.norm(lim.range_component - x1),
-                "kernel_identity": np.linalg.norm(
-                    spectral_frac_power(s.handle, a, x0)),
+                "kernel_identity": np.linalg.norm(power_apply(s.handle, a, x0)),
             }
             for name, err in checks.items():
                 if err > tol.limit_tol * scale:
-                    out.violations.append(_fail_record(i, alpha=a, part=name, err=float(err)))
+                    out.violations.append(_fail_record(i, alpha=a, part=name, excess=float(err)))
     return out
 
 
-def _run_semigroup_norm(samples, backend, tol, index_grid=None):
-    out = CheckOutcome()
-    if index_grid is None:
-        cases = [(sm, q, beta) for sm, beta in ((0.4, 1.0), (0.8, 1.6))
-                 for q in (1.0, 2.0, math.inf)]
-    else:
-        cases = [(ix.s, ix.q, ix.beta) for ix in index_grid]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for sm, q, beta in cases:
-            try:
-                lhs = backend.semigroup_value(s, sm, q, 0, beta)
-                rhs = backend.inhom(s, BesovIndex(sm, q, 0, 0.0, beta))
-            except ValueError:
-                out.degenerate += 1
-                continue
-            if lhs <= 0 or rhs <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(lhs / rhs)
-    return out
+@_ratio_runner
+def _run_semigroup_norm(s, backend, grid):
+    # each grid entry gives (s, q, beta); the semigroup norm uses k = 0
+    for ix in grid:
+        yield _admissible(lambda: (backend.semigroup_value(s, ix.s, ix.q, 0, ix.beta),
+                                   backend.inhom(s, BesovIndex(ix.s, ix.q, 0, 0.0, ix.beta))))
 
 
-def _run_homog_semigroup_norm(samples, backend, tol):
-    out = CheckOutcome()
+@_ratio_runner
+def _run_homog_semigroup_norm(s, backend, grid):
     sm, beta = 0.5, 1.0
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for q in (1.0, 2.0):
-            lhs = backend.semigroup_sum(s, sm, q, -60, beta)
-            rhs = backend.homog(s, BesovIndex(sm, q, 0, 0.0, beta))
-            if lhs <= 0 or rhs <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(lhs / rhs)
-    return out
+    for q in (1.0, 2.0):
+        yield (backend.semigroup_sum(s, sm, q, -60, beta),
+               backend.homog(s, BesovIndex(sm, q, 0, 0.0, beta)))
 
 
-def _run_subordinated_norm(samples, backend, tol):
-    out = CheckOutcome()
+@_ratio_runner
+def _run_subordinated_norm(s, backend, grid):
     sm, q = 0.45, 2.0
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for a in (0.5, 0.7):
-            powered = backend.power_sample(s, a)
-            beta = math.floor(sm / a) + 1.0
-            lhs = backend.semigroup_value(powered, sm / a, q, 0, beta)
-            rhs = backend.inhom(s, BesovIndex(sm, q, 0, 0.0, 1.0))
-            if lhs <= 0 or rhs <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(lhs / rhs)
-    return out
+    for a in (0.5, 0.7):
+        powered = backend.power_sample(s, a)
+        beta = math.floor(sm / a) + 1.0
+        yield (backend.semigroup_value(powered, sm / a, q, 0, beta),
+               backend.inhom(s, BesovIndex(sm, q, 0, 0.0, 1.0)))
 
 
-def _run_cos_estimate(samples, backend, tol):
+def _run_cos_estimate(samples, backend, tol, grid):
     out = CheckOutcome()
     ts = np.geomspace(1e-3, 1e3, 1000)
     fracs = np.linspace(0.5, 1.0, 1000)
@@ -798,7 +673,7 @@ def _run_cos_estimate(samples, backend, tol):
         viol = f_u - k_alpha * f_t[:, None]
         worst = float(viol.max())
         if worst > tol.exact_slack * float(np.abs(k_alpha * f_t).max()):
-            out.violations.append(_fail_record(a10, alpha=alpha, worst=worst))
+            out.violations.append(_fail_record(a10, alpha=alpha, excess=worst))
     return out
 
 
@@ -808,23 +683,19 @@ def _ellq_apply(a_seq, i_idx, s, alpha, j_idx):
     return w @ a_seq
 
 
-def _run_ellq_operator(samples, backend, tol):
-    out = CheckOutcome()
+@_ratio_runner
+def _run_ellq_operator(s, backend, grid):
     i_idx = np.arange(-24, 25)
     j_idx = np.arange(-80, 81)
-    for i, s in enumerate(samples):
-        out.samples += 1
-        a_seq = np.abs(s.rng.normal(size=len(i_idx)))
-        for s_p in (0.3, 0.7):
-            for alpha in (0.3, 0.6):
-                b_seq = _ellq_apply(a_seq, i_idx, s_p, alpha, j_idx)
-                for q in (0.5, 1.0, 2.0, math.inf):
-                    r = _lq_aggregate(np.abs(b_seq), q) / max(_lq_aggregate(a_seq, q), 1e-300)
-                    out.ratios.append(r)
-    return out
+    a_seq = np.abs(s.rng.normal(size=len(i_idx)))
+    for s_p in (0.3, 0.7):
+        for alpha in (0.3, 0.6):
+            b_seq = _ellq_apply(a_seq, i_idx, s_p, alpha, j_idx)
+            for q in (0.5, 1.0, 2.0, math.inf):
+                yield _lq_aggregate(np.abs(b_seq), q), max(_lq_aggregate(a_seq, q), 1e-300)
 
 
-def _run_uniform_bounds(samples, backend, tol):
+def _run_uniform_bounds(samples, backend, tol, grid):
     out = CheckOutcome()
     for i, s in enumerate(samples):
         out.samples += 1
@@ -835,32 +706,24 @@ def _run_uniform_bounds(samples, backend, tol):
         lo, hi = handle.scales()
         lams = np.geomspace(lo * 1e-4, hi * 1e4, 25 if exact else 9)
         for a in alphas:
-            a_c = complex(a)
+            a_c, label = complex(a), str(a)
             n_w = int(math.floor(a_c.real)) + 1
             c_an = composition_bound_constant(a_c, n_w)
             m_bound = c_an * m_const ** n_w
             l_bound = c_an * l_const ** n_w
             nms = _composite_norms(handle, a_c, lams, kind="M")
             nls = _composite_norms(handle, a_c, lams, kind="L")
-            for lam, nm, nl in zip(lams, nms, nls):
-                if nm - m_bound > tol.exact_slack * m_bound:
-                    out.violations.append(_fail_record(i, alpha=str(a), lam=lam,
-                                                       part="M", excess=nm - m_bound))
-                if nl - l_bound > tol.exact_slack * l_bound:
-                    out.violations.append(_fail_record(i, alpha=str(a), lam=lam,
-                                                       part="L", excess=nl - l_bound))
+            for lam, nm, nl in zip(lams.tolist(), nms.tolist(), nls.tolist()):
+                _exceeds(out, i, nm, m_bound, tol.exact_slack, alpha=label, lam=lam, part="M")
+                _exceeds(out, i, nl, l_bound, tol.exact_slack, alpha=label, lam=lam, part="L")
             for c_ratio in (0.5, 2.0):
                 c_bound = c_an * (l_const + max(c_ratio, 1.0) * m_const) ** n_w
                 t_vals = np.geomspace(lo * 0.01, hi * 100.0, 5 if exact else 3)
                 ncs = _composite_norms(handle, a_c, t_vals, kind="C", c_ratio=c_ratio)
-                for t_val, nc in zip(t_vals, ncs):
-                    if nc - c_bound > tol.exact_slack * c_bound:
-                        out.violations.append(_fail_record(
-                            i, alpha=str(a), t=t_val, c=c_ratio, part="C",
-                            excess=nc - c_bound))
+                for t_val, nc in zip(t_vals.tolist(), ncs.tolist()):
+                    _exceeds(out, i, nc, c_bound, tol.exact_slack,
+                             alpha=label, t=t_val, c=c_ratio, part="C")
     return out
-
-
 def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
                      c_ratio: float = 0.0) -> np.ndarray:
     """Euclidean operator norms of lam^a (lam+A)^{-a}, A^a (lam+A)^{-a} or
@@ -889,7 +752,8 @@ def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
     return np.linalg.norm(np.asarray(mats), 2, axis=(-2, -1))
 
 
-def _run_moment(samples, backend, tol):
+
+def _run_moment(samples, backend, tol, grid):
     out = CheckOutcome()
     for i, s in enumerate(samples):
         out.samples += 1
@@ -905,20 +769,18 @@ def _run_moment(samples, backend, tol):
         c_bound = moment_constant(a, n_w, m_const)
         rhs = c_bound * np.linalg.norm(y) ** (a / n_w) * \
             np.linalg.norm(s.x) ** (1.0 - a / n_w)
-        lhs = float(np.linalg.norm(ax))
-        if lhs - rhs > slack * max(rhs, 1e-300):
-            out.violations.append(_fail_record(i, alpha=a, n=n_w, excess=lhs - rhs))
+        _exceeds(out, i, float(np.linalg.norm(ax)), rhs, slack, alpha=a, n=n_w)
     return out
 
 
-def _run_spectral_map(samples, backend, tol):
+def _run_spectral_map(samples, backend, tol, grid):
     out = CheckOutcome()
     for i, s in enumerate(samples):
         out.samples += 1
         sd = s.handle.spectral
         for a in (0.5, 2.0, 0.7 + 0.4j):
             # rows of the block are the images of the basis vectors
-            mat = spectral_frac_power(s.handle, a, np.eye(s.handle.dim, dtype=complex)).T
+            mat = power_apply(s.handle, a, np.eye(s.handle.dim, dtype=complex)).T
             got = np.sort_complex(np.linalg.eigvals(mat))
             mu = sd.eigenvalues.astype(complex)
             want = np.zeros_like(mu)
@@ -928,7 +790,7 @@ def _run_spectral_map(samples, backend, tol):
             scale = max(np.abs(want).max(), 1e-300)
             err = float(np.abs(got - want).max() / scale)
             if err > tol.spectral_map_slack:
-                out.violations.append(_fail_record(i, alpha=str(a), err=err))
+                out.violations.append(_fail_record(i, alpha=str(a), excess=err))
     return out
 
 
@@ -950,22 +812,14 @@ def _lp_fourier_norm(x: np.ndarray, smoothness: float, q: float) -> float:
     return lead + _lq_aggregate(np.asarray(blocks), q)
 
 
-def _run_classical_torus(samples, backend, tol):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for sm in (0.4, 0.7):
-            res = backend.inhom(s, BesovIndex(sm, 2.0, 0, 0.0, 1.0))
-            lp = _lp_fourier_norm(s.x, 2.0 * sm, 2.0)
-            if res <= 0 or lp <= 0:
-                out.degenerate += 1
-                continue
-            out.ratios.append(res / lp)
-            half = backend.power_sample(s, 0.5)
-            lhs = backend.inhom(half, BesovIndex(sm, 2.0, 0, 0.0, 1.0))
-            rhs = backend.inhom(s, BesovIndex(sm / 2.0, 2.0, 0, 0.0, 1.0))
-            out.ratios.append(lhs / rhs)
-    return out
+@_ratio_runner
+def _run_classical_torus(s, backend, grid):
+    for sm in (0.4, 0.7):
+        yield (backend.inhom(s, BesovIndex(sm, 2.0, 0, 0.0, 1.0)),
+               _lp_fourier_norm(s.x, 2.0 * sm, 2.0))
+        half = backend.power_sample(s, 0.5)
+        yield (backend.inhom(half, BesovIndex(sm, 2.0, 0, 0.0, 1.0)),
+               backend.inhom(s, BesovIndex(sm / 2.0, 2.0, 0, 0.0, 1.0)))
 
 
 # --------------------------------------------------------------------------
@@ -988,48 +842,47 @@ def _cal_diag(count=40):
 
 CHECKS: dict[str, CheckDef] = {}
 
-# checks whose per-sample predicate ranges over a caller-supplied BesovIndex grid
-INDEX_GRID_CHECKS = frozenset({
-    "k_independence", "alpha_independence", "full_independence",
-    "homog_independence", "continuity_equiv", "semigroup_norm"})
 
-
-def _register(check_id, kind, statement, runner, ensembles, calibration="diag"):
-    takes_grid = check_id in INDEX_GRID_CHECKS
+def _register(check_id, kind, statement, runner, ensembles, grid=None, cal_ensemble=None):
+    """Register a check. A check with a default BesovIndex ``grid`` takes a
+    caller-supplied one; a ratio check calibrates by running its runner on
+    the reference backend over ``cal_ensemble`` (default ``_cal_diag()``)."""
     cal = None
     if kind == "ratio_bounded":
-        if calibration == "diag":
-            def cal(seed, grid=None, _runner=runner, _tg=takes_grid):
-                samples = draw_samples(replace(_cal_diag(), seed=seed))
-                if _tg:
-                    return _runner(samples, _REF, ToleranceProfile(), grid)
-                return _runner(samples, _REF, ToleranceProfile())
-        elif callable(calibration):
-            def cal(seed, grid=None, _base=calibration):
-                return _base(seed)
-    CHECKS[check_id] = CheckDef(check_id, kind, statement, runner, ensembles, cal)
+        spec = cal_ensemble or _cal_diag()
+
+        def cal(seed, grid=None):
+            return runner(draw_samples(replace(spec, seed=seed)), _REF, ToleranceProfile(), grid)
+    CHECKS[check_id] = CheckDef(check_id, kind, statement, runner, ensembles, cal, grid)
 
 
 _register(
     "k_independence", "ratio_bounded",
     "dyadic tail sums with different base levels k are equivalent semi-quasinorms",
-    _run_k_independence, [_diag(60)])
+    _run_k_independence, [_diag(60)],
+    grid=[BesovIndex(0.45, 2.0, 0, 0.25, 1.0), BesovIndex(-0.3, 1.0, 0, 0.6, 0.7)])
 _register(
     "alpha_independence", "ratio_bounded",
     "dyadic tail sums with different resolvent weights alpha are equivalent",
-    _run_alpha_independence, [_diag(60)])
+    _run_alpha_independence, [_diag(60)],
+    grid=[BesovIndex(0.25, 1.5, 0, a, 1.2) for a in (0.3, 0.8, 1.5, 0.5 + 0.4j)])
 _register(
     "full_independence", "ratio_bounded",
     "the full inhomogeneous quasi-norm is independent of (k, alpha, beta)",
-    _run_full_independence, [_diag(50), _spd(15)])
+    _run_full_independence, [_diag(50), _spd(15)],
+    grid=[BesovIndex(0.4, 2.0, k, a, b) for (k, a, b) in
+          ((0, 0.0, 1.0), (1, 0.5, 1.5), (-1, 1.0, 2.0), (2, 0.3 + 0.2j, 0.8))])
 _register(
     "homog_independence", "ratio_bounded",
     "the homogeneous quasi-norm is independent of (alpha, beta)",
-    _run_homog_independence, [_diag(60)])
+    _run_homog_independence, [_diag(60)],
+    grid=[BesovIndex(0.3, 1.0, 0, a, b) for (a, b) in ((0.5, 1.0), (1.0, 1.5), (0.2, 0.7))])
 _register(
     "continuity_equiv", "ratio_bounded",
     "dyadic level sums and the continuous-parameter integrals are equivalent",
-    _run_continuity_equiv, [_diag(40)])
+    _run_continuity_equiv, [_diag(40)],
+    grid=[BesovIndex(0.45, 2.0, 0, 0.25, 1.0), BesovIndex(-0.3, 1.0, 0, 0.6, 0.7),
+          BesovIndex(0.6, math.inf, 1, 0.0, 1.0)])
 _register(
     "embed_q", "exact_inequality",
     "l_q monotonicity: raising q never increases the aggregate of fixed blocks",
@@ -1066,12 +919,12 @@ _register(
     "inverse_breve", "exact_identity",
     "the reversed-level quasi-norm at -s under A equals the inhomogeneous "
     "quasi-norm at s under the inverse operator (swapped exponents, k=0)",
-    _run_inverse_breve, [_diag(50), _spd(10)])
+    _inverse_identity("breve", "inhom", 0.5, 0.7, 1.1), [_diag(50), _spd(10)])
 _register(
     "inverse_homog", "exact_identity",
     "the homogeneous quasi-norm at -s under A equals the one at s under the "
     "inverse operator (swapped exponents)",
-    _run_inverse_homog, [_diag(50), _spd(10)])
+    _inverse_identity("homog", "homog", 0.4, 0.6, 1.2), [_diag(50), _spd(10)])
 _register(
     "inhom_homog_cap", "ratio_bounded",
     "for s > 0 on invertible operators, inhomogeneous = homogeneous + ambient",
@@ -1093,7 +946,9 @@ _register(
     "semigroup_norm", "ratio_bounded",
     "resolvent dyadic quasi-norms match semigroup-based quasi-norms (s > 0)",
     _run_semigroup_norm, [_diag(50), EnsembleSpec("torus_laplacian", {"n": 16},
-                                                  "gaussian", {}, 10)])
+                                                  "gaussian", {}, 10)],
+    grid=[BesovIndex(sm, q, 0, 0.0, beta) for sm, beta in ((0.4, 1.0), (0.8, 1.6))
+          for q in (1.0, 2.0, math.inf)])
 _register(
     "homog_semigroup_norm", "ratio_bounded",
     "homogeneous resolvent and semigroup quasi-norms match on injective operators",
@@ -1128,14 +983,6 @@ _register(
     "the spectrum of A^a is the image of the spectrum under the principal power",
     _run_spectral_map, [_diag(30), EnsembleSpec("torus_laplacian", {"n": 8},
                                                 "gaussian", {}, 1), _spd(20)])
-
-
-def _cal_classical_torus(seed):
-    spec = EnsembleSpec("torus_laplacian", {"n": 16}, "band_limited",
-                        {"fraction": 0.5}, 30, seed)
-    return _run_classical_torus(draw_samples(spec), _REF, ToleranceProfile())
-
-
 _register(
     "classical_torus", "ratio_bounded",
     "on the periodic grid the resolvent quasi-norm of the discrete Laplacian "
@@ -1143,7 +990,8 @@ _register(
     "the half-power operator matches at half the smoothness",
     _run_classical_torus,
     [EnsembleSpec("torus_laplacian", {"n": 64}, "band_limited", {"fraction": 0.5}, 100)],
-    calibration=_cal_classical_torus)
+    cal_ensemble=EnsembleSpec("torus_laplacian", {"n": 16}, "band_limited",
+                              {"fraction": 0.5}, 30))
 
 SUITE_ORDER = list(CHECKS.keys())
 
@@ -1167,8 +1015,9 @@ def run_check(
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     cd = CHECKS[check_id]
-    if index_grid is not None and check_id not in INDEX_GRID_CHECKS:
+    if index_grid is not None and cd.grid is None:
         raise ValueError(f"check {check_id!r} does not take a BesovIndex grid")
+    grid = cd.grid if index_grid is None else index_grid
     tol = tolerance_profile or ToleranceProfile()
     specs = ensemble if ensemble is not None else cd.default_ensembles
     if count_override is not None:
@@ -1179,10 +1028,7 @@ def run_check(
     for j, spec in enumerate(specs):
         samples.extend(draw_samples(replace(spec, seed=check_seed + j)))
 
-    if check_id in INDEX_GRID_CHECKS:
-        outcome = cd.runner(samples, _PROD, tol, index_grid)
-    else:
-        outcome = cd.runner(samples, _PROD, tol)
+    outcome = cd.runner(samples, _PROD, tol, grid)
 
     ceiling = None
     provenance = None
@@ -1193,7 +1039,7 @@ def run_check(
         if rmin is None:
             verdict = "degenerate"
         else:
-            cal_out = cd.calibration(check_seed + 7919, index_grid)
+            cal_out = cd.calibration(check_seed + 7919, grid)
             cmin, cmax, _, __ = _spread_stats(cal_out.ratios)
             if cmin is None or cmin <= 0:
                 verdict = "degenerate"
@@ -1210,11 +1056,7 @@ def run_check(
         elif outcome.samples == 0:
             verdict = "degenerate"
 
-    max_violation = 0.0
-    for v in outcome.violations:
-        for key in ("gap", "excess", "err", "rel"):
-            if key in v:
-                max_violation = max(max_violation, float(v[key]))
+    max_violation = max((float(v["excess"]) for v in outcome.violations), default=0.0)
     cfg = {
         "check_id": check_id,
         "seed": seed,

@@ -5,6 +5,8 @@ a single pass/fail line. The two full verification-suite runs used by the
 ratio and determinism criteria are shared module-scoped fixtures.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -266,6 +268,17 @@ def test_criterion_8_classical_recovery(suite_run):
     assert rep.verdict == "pass"
     assert rep.samples == 100
     assert spread <= reiter_ceiling
+
+
+def test_suite_report_rows_are_pinned(suite_run):
+    # the platform-stable fields of every default-seed report; a change to
+    # how the checks run must leave them, and the payload, as they are
+    by_id, _, _ = suite_run
+    rows = [[r.check_id, r.kind, r.samples, r.degenerate, r.violations, r.verdict,
+             r.config_hash] for r in by_id.values()]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 27
+    assert digest == "424669fcaf29736407bda7d9e92859cb1de4ad8007c8bf17aa2ed91ef3d074be", rows
 
 
 def test_criterion_9_determinism(suite_run, suite_rerun):

@@ -144,6 +144,30 @@ def test_index_grid_override():
                                             "gaussian", {}, 3)])
     assert rep2.verdict == "degenerate"
     assert rep2.degenerate == 3
+    # the second entry is a valid index, but the semigroup norm needs s > 0:
+    # each sample counts it as degenerate and keeps the first entry's ratio
+    grid3 = [BesovIndex(0.4, 2.0, 0, 0.0, 1.0), BesovIndex(-0.2, 2.0, 0, 0.5, 1.0)]
+    rep3 = run_check("semigroup_norm", index_grid=grid3,
+                     ensemble=[EnsembleSpec("diag_loguniform",
+                                            {"n": 4, "lam_min": 0.5, "lam_max": 2.0},
+                                            "gaussian", {}, 3)])
+    assert rep3.degenerate == 3
+    assert rep3.verdict == "pass"
+    assert rep3.ratio_min == 0.9105384915592142
+    assert rep3.ratio_max == 0.9448921526075551
+    # a check's own constraint on the whole grid still raises
+    mixed = [BesovIndex(0.4, 2.0, 0, 0.0, 1.0), BesovIndex(0.3, 2.0, 0, 0.0, 1.0)]
+    with pytest.raises(ValueError, match="must share"):
+        run_check("full_independence", index_grid=mixed)
+
+
+def test_max_violation_reads_every_failure_record(monkeypatch):
+    # with cos(pi a) = -1 the cosine-polynomial bound fails at every alpha
+    monkeypatch.setattr(math, "cos", lambda x: -1.0)
+    rep = run_check("cos_estimate")
+    assert rep.verdict == "fail" and rep.violations == 9
+    assert rep.max_violation > 0
+    assert rep.max_violation == max(f["excess"] for f in rep.failures)
 
 
 def test_tolerance_profile_propagates():
