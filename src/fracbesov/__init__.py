@@ -31,6 +31,7 @@ from .fractional import (
     semigroup_apply,
     spectral_frac_power,
     subordinated_semigroup,
+    subordinated_semigroup_via_kernel,
     subordination_kernel,
 )
 from .gammafn import gamma
@@ -44,10 +45,6 @@ from .operators import (
     estimate_nonnegativity_constants,
     vector_norm,
 )
-from .quadrature import (
-    QuadratureScheme,
-    TailCertificationError,
-    integrate_multiplicative,
-)
+from .quadrature import TailCertificationError, integrate_multiplicative
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ import numpy as np
 from .fractional import SemigroupUnavailableError, _cpow, phi_apply, power_apply
 from .operators import (EUCLIDEAN, NormKind, OperatorHandle, _induced_norms, as_array,
                         vector_norm, vector_norms)
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, cell_sup, integrate_multiplicative
+from .quadrature import cell_sup, integrate_multiplicative
 
 _J_CAP = 64
 _NORMAL_MIN = sys.float_info.min
@@ -366,7 +366,7 @@ def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
 # --------------------------------------------------------------------------
 
 def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
-                          scheme: QuadratureScheme = DEFAULT_SCHEME,
+                          tail_tolerance: float = 1e-9,
                           norm: NormKind = EUCLIDEAN) -> NormResult:
     """||(2^k+A)^{-alpha} x|| + ( int_{2^k}^inf (t^{s+alpha} profile)^q dt/t )^{1/q}.
 
@@ -394,7 +394,7 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     q = idx.q
     lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
     model = _upper_model(handle, idx, x, norm)
-    tol = scheme.tail_tolerance
+    tol = tail_tolerance
 
     def g_many(us: np.ndarray) -> np.ndarray:
         rows = phi_apply(handle, b, a + b, np.exp(us), x)
@@ -428,7 +428,7 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
             return g_many(us) ** q * jac
 
         total, diag = integrate_multiplicative(
-            integrand, 1.0, 1.0 / shrink, QuadratureScheme(tol * min(q, 1.0) / 8),
+            integrand, 1.0, 1.0 / shrink, tol * min(q, 1.0) / 8,
             decay_lo=1.0, decay_hi=1.0)
         spill = diag.tail_bound + diag.discretization
         head = float(total) ** (1.0 / q)

@@ -37,7 +37,6 @@ from .besov import (
 from .fractional import frac_power
 from .interpolation import CoupleSpec, k_functional
 from .operators import DEFAULT_SEED, OperatorHandle, build_operator
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme
 
 
 class ConfigError(Exception):
@@ -49,9 +48,9 @@ _NORM_VARIANTS = ("inhomogeneous", "continuous", "homogeneous", "breve", "semigr
 
 _KEYS_COMMON = {"command", "seed", "output", "format"}
 _KEYS_BY_COMMAND = {
-    "power": _KEYS_COMMON | {"operator", "vector", "exponent", "quadrature"},
+    "power": _KEYS_COMMON | {"operator", "vector", "exponent", "tail_tolerance"},
     "norm": _KEYS_COMMON | {"operator", "vector", "variant", "s", "q", "k",
-                            "alpha", "beta", "tail_tolerance", "quadrature"},
+                            "alpha", "beta", "tail_tolerance"},
     "kfun": _KEYS_COMMON | {"operator", "vector", "alpha", "theta", "q", "t_grid"},
     "verify": _KEYS_COMMON | {"suite", "ensemble"},
     "report": _KEYS_COMMON | {"inputs"},
@@ -76,8 +75,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     output_path: Optional[str] = None
     format: str = "json"
-    tail_tolerance: float = 1e-8
-    scheme: QuadratureScheme = DEFAULT_SCHEME
+    tail_tolerance: Optional[float] = None  # None: each evaluator's own default
     inputs: list = field(default_factory=list)
 
 
@@ -172,10 +170,8 @@ def parse_config(source: str) -> RunConfig:
                 raise ConfigError(
                     f"vector has dimension {cfg.vector.size}, operator has {handle.dim}")
 
-    qd = _sub_config(raw, "quadrature", {"tail_tolerance"})
-    if "tail_tolerance" in qd:
-        cfg.scheme = QuadratureScheme(
-            _positive_value(qd["tail_tolerance"], "quadrature.tail_tolerance"))
+    if "tail_tolerance" in raw:
+        cfg.tail_tolerance = _positive_value(raw["tail_tolerance"], "tail_tolerance")
 
     if command == "power":
         cfg.exponent = _as_complex_cfg(raw.get("exponent", 0.5), "exponent")
@@ -185,11 +181,6 @@ def parse_config(source: str) -> RunConfig:
         cfg.variant = raw.get("variant", "inhomogeneous")
         if cfg.variant not in _NORM_VARIANTS:
             raise ConfigError(f"variant must be one of {_NORM_VARIANTS}")
-        own, other = (("quadrature.tail_tolerance", "tail_tolerance")
-                      if cfg.variant == "continuous" else ("tail_tolerance", "quadrature"))
-        if other in raw:
-            raise ConfigError(f"key {other!r} does not apply to the {cfg.variant!r} "
-                              f"variant; its tolerance is {own!r}")
         try:
             cfg.index = BesovIndex(
                 s=float(raw.get("s", 0.5)),
@@ -200,7 +191,6 @@ def parse_config(source: str) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"index: {exc}") from exc
-        cfg.tail_tolerance = _positive_value(raw.get("tail_tolerance", 1e-8), "tail_tolerance")
     elif command == "kfun":
         cfg.alpha = _as_complex_cfg(raw.get("alpha", 1.0), "alpha")
         cfg.theta = float(raw.get("theta", 0.5))
@@ -266,9 +256,15 @@ def _write(cfg: RunConfig, payload: dict, csv_rows: Optional[tuple] = None) -> N
         sys.stdout.write(text)
 
 
+def _tolerance(cfg: RunConfig) -> dict:
+    """The config's tail_tolerance as a keyword argument, or none at all, so
+    that each evaluator keeps its own default (1e-9 or 1e-8)."""
+    return {} if cfg.tail_tolerance is None else {"tail_tolerance": cfg.tail_tolerance}
+
+
 def _exec_power(cfg: RunConfig) -> int:
-    result, diag = frac_power(cfg.handle, cfg.exponent, cfg.vector, cfg.scheme,
-                              with_diagnostics=True)
+    result, diag = frac_power(cfg.handle, cfg.exponent, cfg.vector, with_diagnostics=True,
+                              **_tolerance(cfg))
     payload = {
         "command": "power",
         "operator": cfg.operator_spec,
@@ -286,19 +282,16 @@ def _exec_power(cfg: RunConfig) -> int:
     return 0
 
 
+_NORMS = {"inhomogeneous": inhom_quasi_norm, "continuous": continuous_quasi_norm,
+          "homogeneous": homog_quasi_norm, "breve": breve_quasi_norm}
+
+
 def _exec_norm(cfg: RunConfig) -> int:
-    handle, idx = cfg.handle, cfg.index
-    if cfg.variant == "inhomogeneous":
-        res = inhom_quasi_norm(handle, idx, cfg.vector, cfg.tail_tolerance)
-    elif cfg.variant == "continuous":
-        res = continuous_quasi_norm(handle, idx, cfg.vector, cfg.scheme)
-    elif cfg.variant == "homogeneous":
-        res = homog_quasi_norm(handle, idx, cfg.vector, cfg.tail_tolerance)
-    elif cfg.variant == "breve":
-        res = breve_quasi_norm(handle, idx, cfg.vector, cfg.tail_tolerance)
+    handle, idx, tol = cfg.handle, cfg.index, _tolerance(cfg)
+    if cfg.variant == "semigroup":
+        res = semigroup_quasi_norm(handle, idx.s, idx.q, idx.k, idx.beta, cfg.vector, **tol)
     else:
-        res = semigroup_quasi_norm(handle, idx.s, idx.q, idx.k, idx.beta,
-                                   cfg.vector, cfg.tail_tolerance)
+        res = _NORMS[cfg.variant](handle, idx, cfg.vector, **tol)
     payload = {
         "command": "norm",
         "variant": cfg.variant,

@@ -6,18 +6,20 @@ The workhorse is the real-integral representation
     A^a x = G(n)/(G(a) G(n-a)) * int_0^inf l^a [A (l+A)^{-1}]^n x dl/l
 
 with n the smallest integer above Re a, discretized by the log-substituted
-quadrature of :mod:`fracbesov.quadrature`. A spectral route (multiplier
-calculus through the handle's eigen-transform) serves as the independent
-oracle. On handles without spectral data, A^z and the compositions
-A^b (l+A)^{-g} are one Cauchy integral over a contour around the spectrum,
-whose nodes serve every shift l and every exponent at once.
+quadrature of :mod:`fracbesov.quadrature` to a relative ``tail_tolerance``
+(1e-9 by default) in every evaluator that integrates. A spectral route
+(multiplier calculus through the handle's eigen-transform) serves as the
+independent oracle, and :func:`subordinated_semigroup_via_kernel` as the
+cross-check of the subordinated semigroup. On handles without spectral
+data, A^z and the compositions A^b (l+A)^{-g} are one Cauchy integral over a
+contour around the spectrum, whose nodes serve every shift l and every
+exponent at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,12 +30,7 @@ from .gammafn import (
     unified_prefactor,
 )
 from .operators import OperatorHandle, as_array
-from .quadrature import (
-    DEFAULT_SCHEME,
-    QuadratureError,
-    QuadratureScheme,
-    integrate_multiplicative,
-)
+from .quadrature import QuadratureError, integrate_multiplicative
 
 
 class SemigroupUnavailableError(RuntimeError):
@@ -138,7 +135,7 @@ def frac_power(
     handle: OperatorHandle,
     alpha,
     x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
     with_diagnostics: bool = False,
 ):
     """A^alpha x by the real-integral representation, Re alpha > 0; ``x`` is
@@ -174,7 +171,7 @@ def frac_power(
     else:
         integrand = _power_integrand(handle.l_compose_batch, a, n, x)
 
-    val, diag = integrate_multiplicative(integrand, lo, hi, scheme,
+    val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=a.real, decay_hi=n - a.real)
     result = pref * val
     return (result, diag) if with_diagnostics else result
@@ -317,7 +314,7 @@ def frac_power_unified(
     alpha,
     beta,
     x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
 ) -> np.ndarray:
     """A^z x from the two-parameter integral over l^{z+a} A^b (l+A)^{-a-b}.
 
@@ -340,7 +337,7 @@ def frac_power_unified(
     def integrand(lams):
         return _weighted_rows(handle, zc + a, b, a + b, lams, x)
 
-    val, _ = integrate_multiplicative(integrand, lo, hi, scheme,
+    val, _ = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                       decay_lo=zc.real + a.real,
                                       decay_hi=b.real - zc.real)
     return pref * val
@@ -355,7 +352,7 @@ def frac_resolvent(
     alpha: float,
     lam: float,
     x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
     companion: bool = False,
 ) -> np.ndarray:
     """(lam + A^alpha)^{-1} x for 0 < alpha < 1 via the explicit kernel
@@ -394,15 +391,15 @@ def frac_resolvent(
             rows = handle.resolvent_many(mus, x)
         return kern[:, None] * rows
 
-    val, diag = integrate_multiplicative(integrand, lo, hi, scheme,
+    val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=alpha, decay_hi=alpha)
     strip = min(math.pi, math.pi * (1.0 - alpha) / alpha)
     h = (diag.u_max - diag.u_min) / (diag.nodes - 1)
     discretization = math.exp(-2.0 * math.pi * strip / h)
-    if discretization > scheme.tail_tolerance:
+    if discretization > tail_tolerance:
         raise QuadratureError(
             f"frac_resolvent at alpha={alpha}: trapezoid error estimate "
-            f"{discretization:.1e} exceeds {scheme.tail_tolerance:.1e} "
+            f"{discretization:.1e} exceeds {tail_tolerance:.1e} "
             f"(pole strip {strip:.2e}, node spacing {h:.2e})")
     return pref * val
 
@@ -437,7 +434,7 @@ def frac_power_via_semigroup(
     alpha,
     beta,
     x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
 ) -> np.ndarray:
     """A^alpha x = 1/G(beta-alpha) * int t^{-alpha} (tA)^beta e^{-tA} x dt/t."""
     a, b = _as_complex(alpha), _as_complex(beta)
@@ -460,7 +457,7 @@ def frac_power_via_semigroup(
         return _cpow(ts, -a)[:, None] * rows
 
     val, _ = integrate_multiplicative(integrand, 1.0 / hi, 1.0 / max(lo, 1e-300),
-                                      scheme, decay_lo=b.real - a.real, decay_hi=1.0)
+                                      tail_tolerance, decay_lo=b.real - a.real, decay_hi=1.0)
     return pref * val
 
 
@@ -523,41 +520,41 @@ def subordination_kernel(alpha: float, t: float, s: float) -> float:
     return scale * _stable_density(alpha, s * scale)
 
 
-def subordinated_semigroup(
-    handle: OperatorHandle,
-    alpha: float,
-    t: float,
-    x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
-    route: str = "spectral",
-) -> np.ndarray:
-    """e^{-t A^alpha} x, 0 < alpha < 1.
-
-    The spectral route applies e^{-t mu^alpha} per eigenvalue; the kernel
-    route integrates the subordination density against the base semigroup
-    and exists as a cross-check.
-    """
+def _subordination_args(handle: OperatorHandle, alpha: float, t: float, x) -> np.ndarray:
+    """``x`` as an array, once alpha, t and (for t > 0) the eigen-data are checked."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("needs alpha in (0, 1)")
     if t < 0:
         raise ValueError("t must be >= 0")
-    x = as_array(x)
+    if t > 0 and handle.spectral is None:
+        raise SemigroupUnavailableError("subordinated semigroup needs spectral data")
+    return as_array(x)
+
+
+def subordinated_semigroup(handle: OperatorHandle, alpha: float, t: float, x) -> np.ndarray:
+    """e^{-t A^alpha} x, 0 < alpha < 1, by the multiplier e^{-t mu^alpha} per eigenvalue."""
+    x = _subordination_args(handle, alpha, t, x)
     if t == 0:
         return x.copy()
     s = handle.spectral
-    if s is None:
-        raise SemigroupUnavailableError("subordinated semigroup needs spectral data")
-    if route == "spectral":
-        return s.from_coeff(s.to_coeff(x) * np.exp(-t * _cpow(s.eigenvalues, alpha).real))
-    if route != "kernel":
-        raise ValueError("route must be 'spectral' or 'kernel'")
+    return s.from_coeff(s.to_coeff(x) * np.exp(-t * _cpow(s.eigenvalues, alpha).real))
+
+
+def subordinated_semigroup_via_kernel(handle: OperatorHandle, alpha: float, t: float, x,
+                                      tail_tolerance: float = 1e-9) -> np.ndarray:
+    """e^{-t A^alpha} x = int_0^inf k_alpha(t, s) e^{-sA} x ds, the subordination
+    density (:func:`subordination_kernel`) against the base semigroup: the
+    cross-check of :func:`subordinated_semigroup`."""
+    x = _subordination_args(handle, alpha, t, x)
+    if t == 0:
+        return x.copy()
 
     def integrand(ss):
         kern = np.array([subordination_kernel(alpha, t, si) for si in ss])
         return (kern * ss)[:, None] * _semigroup_rows(handle, ss, x)  # ds = s du
 
     center = t ** (1.0 / alpha)
-    val, _ = integrate_multiplicative(integrand, center, center, scheme,
+    val, _ = integrate_multiplicative(integrand, center, center, tail_tolerance,
                                       decay_lo=1.0, decay_hi=alpha)
     return val
 
@@ -578,21 +575,17 @@ class ErgodicLimits:
     trace_l: np.ndarray
 
 
-def ergodic_limits(
-    handle: OperatorHandle,
-    alpha,
-    x,
-    t_grid: Optional[np.ndarray] = None,
-    rtol: float = 1e-6,
-) -> ErgodicLimits:
+_ERGODIC_RTOL = 1e-6      # convergence toward infinity; its square root toward zero
+
+
+def ergodic_limits(handle: OperatorHandle, alpha, x) -> ErgodicLimits:
     """Evaluate t^a (t+A)^{-a} x and A^a (t+A)^{-a} x across both ergodic
-    regimes and extrapolate the kernel/range splitting."""
+    regimes, on 33 log-spaced t from 1e-8 to 1e8 times the spectral scales,
+    and extrapolate the kernel/range splitting."""
     a = _as_complex(alpha)
     x = as_array(x)
-    if t_grid is None:
-        lo, hi = handle.scales()
-        t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
-    t_grid = np.asarray(t_grid, dtype=float)
+    lo, hi = handle.scales()
+    t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
 
     m_rows = (t_grid ** a)[:, None] * phi_apply(handle, 0.0, a, t_grid, x)
     l_rows = phi_apply(handle, a, a, t_grid, x)
@@ -607,9 +600,10 @@ def ergodic_limits(
     lim_zero = m_rows[0] - (m_rows[1] - m_rows[0]) / (rho0 - 1.0)
     rho1 = t_grid[1] / t_grid[0]
     range_comp = l_rows[0] - (l_rows[1] - l_rows[0]) / (rho1 - 1.0)
-    conv_inf = bool(np.linalg.norm(m_rows[-1] - lim_inf) <= rtol * scale)
-    conv_zero = bool(np.linalg.norm(m_rows[0] - lim_zero) <= math.sqrt(rtol) * scale
-                     and np.linalg.norm(l_rows[0] - range_comp) <= math.sqrt(rtol) * scale)
+    conv_inf = bool(np.linalg.norm(m_rows[-1] - lim_inf) <= _ERGODIC_RTOL * scale)
+    loose = math.sqrt(_ERGODIC_RTOL) * scale
+    conv_zero = bool(np.linalg.norm(m_rows[0] - lim_zero) <= loose
+                     and np.linalg.norm(l_rows[0] - range_comp) <= loose)
     trace_m = np.linalg.norm(m_rows - lim_inf[None, :], axis=1)
     trace_l = np.linalg.norm(l_rows - range_comp[None, :], axis=1)
     return ErgodicLimits(lim_inf, lim_zero, range_comp, conv_inf, conv_zero,
@@ -626,7 +620,7 @@ def reproducing_residual(
     m: int,
     lam_cut: float,
     x,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
 ) -> float:
     """Relative residual of the truncated reproducing identity
 
@@ -660,14 +654,14 @@ def reproducing_residual(
     if lam_cut == 0:
         if not handle.injective():
             raise ValueError("the boundary-free variant needs an injective operator")
-        val, _ = integrate_multiplicative(tail_integrand, lo, hi, scheme,
+        val, _ = integrate_multiplicative(tail_integrand, lo, hi, tail_tolerance,
                                           decay_lo=a.real, decay_hi=m)
         y = pref_tail * val
     else:
         def shifted(mus):
             return (mus / (1.0 + mus))[:, None] * tail_integrand(lam_cut * (1.0 + mus))
 
-        val, _ = integrate_multiplicative(shifted, 1.0, max(hi / lam_cut, 1.0), scheme,
+        val, _ = integrate_multiplicative(shifted, 1.0, max(hi / lam_cut, 1.0), tail_tolerance,
                                           decay_lo=1.0, decay_hi=m)
         y = pref_tail * val
         w = lam_cut ** a * phi_apply(handle, 0.0, a, lam_cut, x)

@@ -21,10 +21,15 @@ Six checks range over a BesovIndex grid that the caller may replace:
 ``k_independence``, ``alpha_independence``, ``full_independence``,
 ``homog_independence``, ``continuity_equiv`` and ``semigroup_norm``. Their
 default grids live in the registry (``CheckDef.grid``), and a grid entry a
-norm rejects with ValueError counts as degenerate. Every failure record
-states its amount as ``excess``: how far the value lies beyond its bound,
-or, for the identity and limit checks, the deviation itself. A report's
-``max_violation`` is the largest excess, 0.0 when nothing fails.
+norm rejects with ValueError counts as degenerate. A grid that sets a field
+the check would ignore raises ValueError: a ``k`` other than 0 for
+``k_independence``, a ``k`` or ``alpha`` other than 0 for
+``semigroup_norm``, entries of different (s, q, k, beta) for
+``alpha_independence`` and of different (s, q) for ``full_independence``.
+Every failure record states its amount as ``excess``: how far the value
+lies beyond its bound, or, for the identity and limit checks, the deviation
+itself. A report's ``max_violation`` is the largest excess, 0.0 when
+nothing fails.
 
 Reports are deterministic given (suite, config, seed) and serialize to JSON.
 """
@@ -368,6 +373,14 @@ def _admissible(evaluate):
         return None
 
 
+def _require_shared(grid, name, **fields):
+    """Raise ValueError when a grid entry's field differs from the value the
+    check uses for it: the check would ignore it without a word."""
+    for key, value in fields.items():
+        if any(getattr(ix, key) != value for ix in grid):
+            raise ValueError(f"{name} grid entries must all have {key} = {value!r}")
+
+
 def _spread(evaluate):
     """(max, min) of the values ``evaluate()`` returns at the grid indices,
     or None when one of them is inadmissible."""
@@ -400,6 +413,7 @@ def _ratio_runner(pairs):
 @_ratio_runner
 def _run_k_independence(s, backend, grid):
     # each grid entry fixes (s, q, alpha, beta); the base level k ranges over -2..3
+    _require_shared(grid, "k-independence", k=0)
     for ix in grid:
         vals = _admissible(lambda: [
             backend.sum_part(s, BesovIndex(ix.s, ix.q, k, ix.alpha, ix.beta))
@@ -410,11 +424,10 @@ def _run_k_independence(s, backend, grid):
 
 @_ratio_runner
 def _run_alpha_independence(s, backend, grid):
-    # the grid's alphas at the (s, q, k, beta) of its first entry
+    # the grid's alphas at the (s, q, k, beta) all its entries share
     ix0 = grid[0]
-    yield _spread(lambda: [
-        backend.sum_part(s, BesovIndex(ix0.s, ix0.q, ix0.k, ix.alpha, ix0.beta))
-        for ix in grid])
+    _require_shared(grid, "alpha-independence", s=ix0.s, q=ix0.q, k=ix0.k, beta=ix0.beta)
+    yield _spread(lambda: [backend.sum_part(s, ix) for ix in grid])
 
 
 @_ratio_runner
@@ -634,10 +647,11 @@ def _run_ergodicity(samples, backend, tol, grid):
 
 @_ratio_runner
 def _run_semigroup_norm(s, backend, grid):
-    # each grid entry gives (s, q, beta); the semigroup norm uses k = 0
+    # each grid entry gives (s, q, beta); the semigroup norm has no k and no alpha
+    _require_shared(grid, "semigroup-norm", k=0, alpha=0.0)
     for ix in grid:
         yield _admissible(lambda: (backend.semigroup_value(s, ix.s, ix.q, 0, ix.beta),
-                                   backend.inhom(s, BesovIndex(ix.s, ix.q, 0, 0.0, ix.beta))))
+                                   backend.inhom(s, ix)))
 
 
 @_ratio_runner
@@ -814,10 +828,10 @@ def _lp_fourier_norm(x: np.ndarray, smoothness: float, q: float) -> float:
 
 @_ratio_runner
 def _run_classical_torus(s, backend, grid):
+    half = backend.power_sample(s, 0.5)
     for sm in (0.4, 0.7):
         yield (backend.inhom(s, BesovIndex(sm, 2.0, 0, 0.0, 1.0)),
                _lp_fourier_norm(s.x, 2.0 * sm, 2.0))
-        half = backend.power_sample(s, 0.5)
         yield (backend.inhom(half, BesovIndex(sm, 2.0, 0, 0.0, 1.0)),
                backend.inhom(s, BesovIndex(sm / 2.0, 2.0, 0, 0.0, 1.0)))
 

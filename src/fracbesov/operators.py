@@ -27,6 +27,7 @@ import numpy as np
 
 DEFAULT_SEED = 20260810       # the seed of the suite's ensembles and of drawn vectors
 _INJECTIVITY_RTOL = 1e-10
+_LAMBDA_GRID_POINTS = 61      # of the grid estimates of M_A and L_A
 _LEVEL_SET_RTOL = 1e-12       # stop once no test point beats the level by more
 _LEVEL_SET_CAP = 60           # iterations before the sup is declared unbounded
 
@@ -162,6 +163,13 @@ class OperatorHandle:
         scale = np.abs(m).max() or 1.0
         if np.allclose(m, m.conj().T, atol=1e-13 * scale):
             eig, vecs = np.linalg.eigh(m)
+            # as diagonal() checks its entries; a kernel eigenvalue comes out
+            # of eigh at rounding level on either side of 0
+            band = _INJECTIVITY_RTOL * np.abs(eig).max()
+            if np.any(eig < -band):
+                raise SingularResolventError(
+                    "a Hermitian matrix with a negative eigenvalue is not non-negative")
+            eig[np.abs(eig) <= band] = 0.0
             to = lambda x: np.asarray(x, dtype=complex) @ vecs.conj()
             fr = lambda c: np.asarray(c, dtype=complex) @ vecs.T
             spectral = SpectralData(eig.astype(float), to, fr)
@@ -400,9 +408,9 @@ class ConstantsEstimate:
     diverging: bool
 
 
-def default_lambda_grid(handle: OperatorHandle, points: int = 61) -> np.ndarray:
+def default_lambda_grid(handle: OperatorHandle) -> np.ndarray:
     _, hi = handle.scales()
-    return np.geomspace(1e-6 * hi, 1e6 * hi, points)
+    return np.geomspace(1e-6 * hi, 1e6 * hi, _LAMBDA_GRID_POINTS)
 
 
 def estimate_nonnegativity_constants(

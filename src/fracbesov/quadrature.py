@@ -9,7 +9,7 @@ exponential tails, where the trapezoid rule with step h errs by about
 (Trefethen & Weideman, SIAM Review 56(3), 2014).
 
 :func:`integrate_multiplicative` is the one rule. It widens the truncation
-window until the estimated tails fall below the scheme's tolerance, then
+window until the estimated tails fall below the caller's tail_tolerance, then
 halves the step, reusing every node, until two successive levels agree to
 the same tolerance. A window or a step that cannot be certified raises
 instead of returning a silently truncated or under-resolved value.
@@ -52,14 +52,6 @@ class TailCertificationError(QuadratureError):
     """Raised when the integrand tails cannot be certified below tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    tail_tolerance: float = 1e-9    # relative bound on each tail and on the discretization
-
-
-DEFAULT_SCHEME = QuadratureScheme()
-
-
 @dataclass
 class QuadratureDiagnostics:
     u_min: float = 0.0
@@ -80,7 +72,7 @@ def integrate_multiplicative(
     f: Callable[[np.ndarray], np.ndarray],
     scale_lo: float,
     scale_hi: float,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
+    tail_tolerance: float = 1e-9,
     *,
     decay_lo: float,
     decay_hi: float,
@@ -92,9 +84,11 @@ def integrate_multiplicative(
     be a vector dimension). ``scale_lo``/``scale_hi`` set the initial window
     [1e-8*scale_lo, 1e8*scale_hi]; ``decay_lo``/``decay_hi`` are the powers
     of lambda at which f vanishes at 0 and infinity, the rates of the tails.
+    ``tail_tolerance`` is the relative bound on each tail and on the
+    discretization.
 
     The window is widened at node spacing ``_H_START`` until both tails fall
-    below ``scheme.tail_tolerance`` times the value. The step is then halved,
+    below ``tail_tolerance`` times the value. The step is then halved,
     evaluating ``f`` only at the midpoints, until two successive levels agree
     to the same relative tolerance; the finer level is returned. If the
     tails then exceed the tolerance against that converged value (the step-1
@@ -109,7 +103,7 @@ def integrate_multiplicative(
     u_max = np.log(scale_hi) + np.log(1e8)
     if u_min >= u_max:
         u_min, u_max = u_max - 1.0, u_min + 1.0
-    tol = scheme.tail_tolerance
+    tol = tail_tolerance
     ref_conv = math.inf     # converged value of an earlier pass, if its tails failed
     widening = 0
 

@@ -24,7 +24,7 @@ from fracbesov.fractional import (
 from fracbesov.gammafn import balakrishnan_prefactor, reciprocal_beta_prefactor
 from fracbesov.harness import reports_to_json, run_suite
 from fracbesov.operators import OperatorHandle, build_operator
-from fracbesov.quadrature import QuadratureScheme, integrate_multiplicative
+from fracbesov.quadrature import integrate_multiplicative
 
 RATIO_CHECK_IDS = [
     "k_independence", "alpha_independence", "full_independence",
@@ -76,7 +76,7 @@ def test_criterion_1_gamma_integral_anchors():
             pref = balakrishnan_prefactor(alpha, n)
             val, _ = integrate_multiplicative(
                 lambda lam: lam ** alpha * (1.0 + lam) ** (-n), 1.0, 1.0,
-                QuadratureScheme(), decay_lo=alpha, decay_hi=n - alpha)
+                decay_lo=alpha, decay_hi=n - alpha)
             worst_euler = max(worst_euler, abs(pref * val - 1.0))
     worst_res = 0.0
     for alpha in (0.25, 0.5, 0.75):
@@ -86,7 +86,7 @@ def test_criterion_1_gamma_integral_anchors():
             val, _ = integrate_multiplicative(
                 lambda mus: lam * mus ** alpha / (
                     lam * lam + 2 * lam * mus ** alpha * cosa + mus ** (2 * alpha)),
-                lam, lam, QuadratureScheme(), decay_lo=alpha, decay_hi=alpha)
+                lam, lam, decay_lo=alpha, decay_hi=alpha)
             worst_res = max(worst_res, abs(pref * val - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst_euler <= 1e-8 and worst_res <= 1e-6 and elapsed < 5.0

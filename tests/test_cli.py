@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracbesov import cli
+from fracbesov import besov, cli
 from fracbesov.cli import ConfigError, RunConfig, execute, main, parse_config
+from fracbesov.fractional import frac_power
 from fracbesov.operators import build_operator
 
 
@@ -53,28 +54,58 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
-def test_unknown_quadrature_key_rejected():
-    # only tail_tolerance is a quadrature setting
-    for key, value in (("rule", '"gauss_legendre_panels"'), ("nodes", "512"),
-                       ("u_min", "-20"), ("u_max", "20")):
-        with pytest.raises(ConfigError, match=f"unknown quadrature keys: \\['{key}'\\]"):
-            parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
-                         f'"quadrature": {{"{key}": {value}}}}}')
+def test_unknown_quadrature_key_rejected(capsys):
+    # the one tolerance is the top-level tail_tolerance; the former
+    # "quadrature" object that carried it is an unknown key
+    for command in ("power", "norm"):
+        config = json.dumps({"command": command, "operator": "diagonal [1,4]",
+                             "quadrature": {"tail_tolerance": 1e-4}})
+        assert main(["--config", config]) == 2
+        assert f"unknown config keys for '{command}': ['quadrature']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("variant, key, value", [
-    ("continuous", "tail_tolerance", "1e-2"),
-    ("inhomogeneous", "quadrature", '{"tail_tolerance": 1e-2}'),
-    ("semigroup", "quadrature", '{"tail_tolerance": 1e-2}'),
-])
-def test_tolerance_key_of_another_variant_rejected(variant, key, value):
-    # each variant reads one tolerance key; the other would be ignored silently
-    with pytest.raises(ConfigError, match=f"'{key}'.*'{variant}'"):
-        parse_config('{"command": "norm", "operator": "diagonal [1,4]", '
-                     f'"variant": "{variant}", "{key}": {value}}}')
+_TOLERANCE_CASES = {
+    "power": ({"command": "power", "operator": "dense [[2,1,0],[0,3,1],[0,0,5]]",
+               "exponent": 0.5},
+              lambda h, x, **tol: frac_power(h, 0.5, x, **tol)),
+    "inhomogeneous": ({"s": 0.5, "q": 2}, lambda h, x, **tol: besov.inhom_quasi_norm(
+        h, besov.BesovIndex(0.5, 2.0), x, **tol).value),
+    "continuous": ({"s": 0.5, "q": 2}, lambda h, x, **tol: besov.continuous_quasi_norm(
+        h, besov.BesovIndex(0.5, 2.0), x, **tol).value),
+    "homogeneous": ({"s": 0.5, "q": 2, "alpha": 0.5}, lambda h, x, **tol: besov.homog_quasi_norm(
+        h, besov.BesovIndex(0.5, 2.0, 0, 0.5), x, **tol).value),
+    "breve": ({"s": 0.5, "q": 2, "alpha": 0.5}, lambda h, x, **tol: besov.breve_quasi_norm(
+        h, besov.BesovIndex(0.5, 2.0, 0, 0.5), x, **tol).value),
+    "semigroup": ({"s": 0.5, "q": 2}, lambda h, x, **tol: besov.semigroup_quasi_norm(
+        h, 0.5, 2.0, 0, 1.0, x, **tol).value),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOLERANCE_CASES))
+def test_one_tolerance_key_reaches_every_evaluator(case, capsys):
+    # power and every norm variant read the top-level tail_tolerance, and
+    # the library call with the same tolerance prints the same bytes
+    extra, library = _TOLERANCE_CASES[case]
+    vector = [1.0, -0.5, 0.25]
+    config = {"vector": vector, **extra} if case == "power" else {
+        "command": "norm", "variant": case, "operator": "diagonal [1,4,9]", "vector": vector,
+        **extra}
+    outputs = []
+    for tol in ({}, {"tail_tolerance": 1e-4}):
+        assert main(["--config", json.dumps({**config, **tol})]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    handle, x = build_operator(config["operator"]), np.array(vector, dtype=complex)
+    want = library(handle, x, tail_tolerance=1e-4)
+    if case == "power":
+        got = np.array([complex(re, im) for re, im in outputs[1]["result"]])
+        assert np.array_equal(got, want)
+        assert outputs[1]["quadrature"]["nodes"] != outputs[0]["quadrature"]["nodes"]
+    else:
+        assert outputs[1]["value"] == want != outputs[0]["value"]
 
 
 _BASES = {
+    "power": {"command": "power", "operator": "diagonal [1,4]", "vector": [1, 1]},
     "kfun": {"command": "kfun", "operator": "diagonal [1,4]", "vector": [1, 1]},
     "norm": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1]},
     "continuous": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1],
@@ -102,9 +133,10 @@ _BASES = {
     ("norm", {"tail_tolerance": -1e-8}, "tail_tolerance"),
     ("norm", {"tail_tolerance": "1e-8"}, "tail_tolerance"),
     ("norm", {"tail_tolerance": math.inf}, "tail_tolerance"),
-    ("continuous", {"quadrature": {"tail_tolerance": 0.0}}, "quadrature.tail_tolerance"),
-    ("continuous", {"quadrature": {"tail_tolerance": math.nan}}, "quadrature.tail_tolerance"),
-    ("continuous", {"quadrature": {"tail_tolerance": True}}, "quadrature.tail_tolerance"),
+    ("continuous", {"tail_tolerance": 0.0}, "tail_tolerance"),
+    ("continuous", {"tail_tolerance": math.nan}, "tail_tolerance"),
+    ("continuous", {"tail_tolerance": True}, "tail_tolerance"),
+    ("power", {"tail_tolerance": -1e-9}, "tail_tolerance"),
 ])
 def test_invalid_value_exits_2_naming_its_key(base, extra, key, capsys):
     assert main(["--config", json.dumps({**_BASES[base], **extra})]) == 2
@@ -125,8 +157,9 @@ def test_unknown_command():
 
 
 def test_bad_operator_spec():
-    with pytest.raises(ConfigError, match="operator"):
-        parse_config('{"command": "power", "operator": "hankel [1]"}')
+    for spec in ("hankel [1]", "dense [[-1,0],[0,2]]"):   # the second: Hermitian, eigenvalue -1
+        with pytest.raises(ConfigError, match="operator"):
+            parse_config(json.dumps({"command": "power", "operator": spec}))
 
 
 def test_vector_dimension_checked():

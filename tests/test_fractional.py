@@ -21,6 +21,7 @@ from fracbesov.fractional import (
     semigroup_apply,
     spectral_frac_power,
     subordinated_semigroup,
+    subordinated_semigroup_via_kernel,
     subordination_kernel,
 )
 from fracbesov.operators import OperatorHandle, build_operator
@@ -431,10 +432,10 @@ def test_subordination_kernel_closed_form():
 
 def test_kernel_route_cross_check():
     h = OperatorHandle.diagonal([1.0])
-    y = subordinated_semigroup(h, 0.5, 1.0, np.array([1.0 + 0j]), route="kernel")
+    y = subordinated_semigroup_via_kernel(h, 0.5, 1.0, np.array([1.0 + 0j]))
     assert abs(y[0] - math.exp(-1.0)) <= 1e-4
-    y2 = subordinated_semigroup(DIAG14, 0.3, 0.8, ONES2, route="kernel")
-    want = subordinated_semigroup(DIAG14, 0.3, 0.8, ONES2, route="spectral")
+    y2 = subordinated_semigroup_via_kernel(DIAG14, 0.3, 0.8, ONES2)
+    want = subordinated_semigroup(DIAG14, 0.3, 0.8, ONES2)
     assert np.abs(y2 - want).max() <= 1e-4
     # alpha > 1/2, where cos(pi alpha) < 0; and a spectrum down to 1e-4,
     # where the kernel's slow s^{-alpha} tail reaches s ~ 1e6 and beyond
@@ -443,8 +444,8 @@ def test_kernel_route_cross_check():
     for h, x, alpha, t in ((DIAG14, ONES2, 0.6, 0.8), (DIAG14, ONES2, 0.7, 0.3),
                            (DIAG14, ONES2, 0.9, 1.0), (small, ones3, 0.3, 1.0),
                            (small, ones3, 0.5, 1.0)):
-        got = subordinated_semigroup(h, alpha, t, x, route="kernel")
-        want = subordinated_semigroup(h, alpha, t, x, route="spectral")
+        got = subordinated_semigroup_via_kernel(h, alpha, t, x)
+        want = subordinated_semigroup(h, alpha, t, x)
         assert np.abs(got - want).max() <= 1e-8
 
 

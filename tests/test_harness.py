@@ -144,14 +144,11 @@ def test_index_grid_override():
                                             "gaussian", {}, 3)])
     assert rep2.verdict == "degenerate"
     assert rep2.degenerate == 3
-    # the second entry is a valid index, but the semigroup norm needs s > 0:
-    # each sample counts it as degenerate and keeps the first entry's ratio
-    grid3 = [BesovIndex(0.4, 2.0, 0, 0.0, 1.0), BesovIndex(-0.2, 2.0, 0, 0.5, 1.0)]
-    rep3 = run_check("semigroup_norm", index_grid=grid3,
-                     ensemble=[EnsembleSpec("diag_loguniform",
-                                            {"n": 4, "lam_min": 0.5, "lam_max": 2.0},
-                                            "gaussian", {}, 3)])
-    assert rep3.degenerate == 3
+    small = [EnsembleSpec("diag_loguniform", {"n": 4, "lam_min": 0.5, "lam_max": 2.0},
+                          "gaussian", {}, 3)]
+    rep3 = run_check("semigroup_norm", index_grid=[BesovIndex(0.4, 2.0, 0, 0.0, 1.0)],
+                     ensemble=small)
+    assert rep3.degenerate == 0
     assert rep3.verdict == "pass"
     assert rep3.ratio_min == 0.9105384915592142
     assert rep3.ratio_max == 0.9448921526075551
@@ -159,6 +156,23 @@ def test_index_grid_override():
     mixed = [BesovIndex(0.4, 2.0, 0, 0.0, 1.0), BesovIndex(0.3, 2.0, 0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="must share"):
         run_check("full_independence", index_grid=mixed)
+    # so does a grid field the check would ignore: alpha_independence reads
+    # (s, q, k, beta) once, k_independence ranges k itself, and the
+    # semigroup norm has neither k nor alpha
+    for cid, ignored, key in (
+            ("alpha_independence", [BesovIndex(0.5, 2.0, 0, 0.3, 1.0),
+                                    BesovIndex(0.2, 1.0, 0, 1.2, 1.0)], "s"),
+            ("alpha_independence", [BesovIndex(0.5, 2.0, 0, 0.3, 1.0),
+                                    BesovIndex(0.5, 2.0, 1, 1.2, 1.0)], "k"),
+            ("alpha_independence", [BesovIndex(0.5, 2.0, 0, 0.3, 1.0),
+                                    BesovIndex(0.5, 2.0, 0, 1.2, 1.5)], "beta"),
+            ("k_independence", [BesovIndex(0.45, 2.0, 2, 0.25, 1.0)], "k"),
+            ("semigroup_norm", [BesovIndex(0.4, 2.0, 3, 0.0, 1.0)], "k"),
+            ("semigroup_norm", [BesovIndex(0.4, 2.0, 0, 0.7, 1.0)], "alpha"),
+            ("semigroup_norm", [BesovIndex(0.4, 2.0, 0, 0.0, 1.0),
+                                BesovIndex(-0.2, 2.0, 0, 0.5, 1.0)], "alpha")):
+        with pytest.raises(ValueError, match=f"must all have {key} ="):
+            run_check(cid, index_grid=ignored, ensemble=small)
 
 
 def test_max_violation_reads_every_failure_record(monkeypatch):

@@ -382,6 +382,11 @@ def test_constants_p1_and_pinf_keep_the_grid():
                                   "dense [[0, 1], [0, 0]]",      # defective eigenvalue 0
                                   "dense [[-1, 0], [0, 2]]"])    # Hermitian, with eigen-data
 def test_constants_raise_when_not_nonnegative(spec):
+    if spec == "dense [[-1, 0], [0, 2]]":
+        # a Hermitian matrix is checked when its eigen-data is built
+        with pytest.raises(SingularResolventError, match="negative eigenvalue"):
+            build_operator(spec)
+        return
     h = build_operator(spec)
     with pytest.raises(SingularResolventError):
         h.constants()
@@ -389,6 +394,22 @@ def test_constants_raise_when_not_nonnegative(spec):
     assert math.isfinite(est.M) and math.isfinite(est.L)
     if spec == "dense [[-1, 0.3], [0, 2]]":
         assert not est.diverging
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_hermitian_dense_checks_its_eigenvalues(n):
+    # as diagonal() checks its entries; at exponent 0.5 the -1 mode would
+    # otherwise pass for a kernel mode
+    with pytest.raises(SingularResolventError, match="negative eigenvalue"):
+        OperatorHandle.dense([[-1, 0], [0, 2]])
+    # a path-graph Laplacian is PSD and singular: eigh puts its kernel
+    # eigenvalue at -9.7e-17 (n = 4) or 2.3e-16 (n = 6), and the handle at 0
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    h = OperatorHandle.dense(lap)
+    assert np.count_nonzero(h.spectral.eigenvalues == 0.0) == 1
+    assert np.all(h.spectral.eigenvalues >= 0.0)
+    assert h.constants() == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("p", [1, math.inf])

@@ -8,7 +8,6 @@ import pytest
 from fracbesov.gammafn import balakrishnan_prefactor, reciprocal_beta_prefactor
 from fracbesov.quadrature import (
     QuadratureError,
-    QuadratureScheme,
     TailCertificationError,
     cell_sup,
     integrate_multiplicative,
@@ -22,7 +21,7 @@ def test_beta_integral_anchor(alpha, n):
     pref = balakrishnan_prefactor(alpha, n)
     val, diag = integrate_multiplicative(
         lambda lam: lam ** alpha * (1 + lam) ** (-n), 1.0, 1.0,
-        QuadratureScheme(tail_tolerance=1e-10), decay_lo=alpha, decay_hi=n - alpha)
+        1e-10, decay_lo=alpha, decay_hi=n - alpha)
     assert abs(pref * val - 1.0) <= 1e-8
     assert diag.tail_bound <= 1e-9 * abs(val)
     assert diag.discretization <= 1e-10 * abs(val)
@@ -39,7 +38,7 @@ def test_resolvent_weight_anchor(alpha, lam):
         return lam * mus ** alpha / (lam * lam + 2 * lam * mus ** alpha * cosa
                                      + mus ** (2 * alpha))
 
-    val, _ = integrate_multiplicative(f, lam, lam, QuadratureScheme(),
+    val, _ = integrate_multiplicative(f, lam, lam,
                                       decay_lo=alpha, decay_hi=alpha)
     assert abs(pref * val - 1.0) <= 1e-6
 
@@ -50,7 +49,7 @@ def test_vector_valued_integrand():
         return np.stack([lams ** 0.5 * (1 + lams) ** -2,
                          lams ** 1.5 * (1 + lams) ** -2], axis=1)
 
-    val, _ = integrate_multiplicative(f, 1.0, 1.0, QuadratureScheme(),
+    val, _ = integrate_multiplicative(f, 1.0, 1.0,
                                       decay_lo=0.5, decay_hi=0.5)
     assert val[0].real == pytest.approx(1.0 / balakrishnan_prefactor(0.5, 2).real, rel=1e-8)
     assert val[1].real == pytest.approx(1.0 / balakrishnan_prefactor(1.5, 2).real, rel=1e-8)
@@ -61,13 +60,13 @@ def test_widening_happens_for_wide_spectra():
     pref = balakrishnan_prefactor(0.5, 2)
     val, diag = integrate_multiplicative(
         lambda lam: lam ** 0.5 * (1 + lam) ** (-2), 1e-3, 1e3,
-        QuadratureScheme(), decay_lo=0.5, decay_hi=1.5)
+        decay_lo=0.5, decay_hi=1.5)
     assert abs(pref * val - 1.0) <= 1e-8
 
 
 def test_zero_integrand_short_circuits():
     val, diag = integrate_multiplicative(lambda lam: 0.0 * lam, 1.0, 1.0,
-                                         QuadratureScheme(), decay_lo=1.0, decay_hi=1.0)
+                                         decay_lo=1.0, decay_hi=1.0)
     assert val == 0.0
     assert diag.tail_bound == 0.0
 
@@ -98,7 +97,7 @@ def test_window_recertified_against_the_converged_value():
     def f(lam):
         return np.exp(-((np.log(lam) - 0.5) / 0.08) ** 2) + 1e-7 * lam ** 0.5 / (1 + lam)
 
-    val, diag = integrate_multiplicative(f, 1.0, 1.0, QuadratureScheme(tail_tolerance=1e-10),
+    val, diag = integrate_multiplicative(f, 1.0, 1.0, 1e-10,
                                          decay_lo=0.5, decay_hi=0.5)
     exact = 0.08 * math.sqrt(math.pi) + 1e-7 * math.pi
     assert max(diag.tail_low, diag.tail_high) <= 1e-10 * abs(val)
@@ -117,7 +116,7 @@ def test_tails_match_the_exact_beta_remainders(a, n, tol):
 
     _, diag = integrate_multiplicative(
         lambda lam: lam ** a * (1 + lam) ** (-n), 1.0, 1.0,
-        QuadratureScheme(tail_tolerance=tol), decay_lo=a, decay_hi=n - a)
+        tol, decay_lo=a, decay_hi=n - a)
     b = beta(a, n - a)
     below = b * betainc(a, n - a, 1.0 / (1.0 + math.exp(-diag.u_min)))
     above = b * betainc(n - a, a, 1.0 / (1.0 + math.exp(diag.u_max)))
