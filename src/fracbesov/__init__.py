@@ -18,7 +18,6 @@ from .besov import (
 )
 from .fractional import (
     ErgodicLimits,
-    Exponent,
     SemigroupUnavailableError,
     ergodic_limits,
     frac_power,
@@ -40,7 +39,6 @@ from .operators import (
     EUCLIDEAN,
     NormKind,
     OperatorHandle,
-    VectorElement,
     build_operator,
     estimate_nonnegativity_constants,
     vector_norm,

@@ -37,25 +37,6 @@ class SemigroupUnavailableError(RuntimeError):
     """Raised when an operation needs e^{-tA} but no spectral route exists."""
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """A power exponent z together with the Balakrishnan witness integer."""
-    value: complex
-
-    @property
-    def witness_n(self) -> int:
-        re = complex(self.value).real
-        if re < 0:
-            raise ValueError("witness integer is defined for Re z >= 0")
-        return int(math.floor(re)) + 1
-
-
-def _as_complex(z) -> complex:
-    if isinstance(z, Exponent):
-        return complex(z.value)
-    return complex(z)
-
-
 def _is_integer(v: float) -> bool:
     return abs(v - round(v)) < 1e-14
 
@@ -80,7 +61,7 @@ def _representation_order(alpha: complex) -> int:
     """Integer n > Re alpha for the real-integral representation; bumped by
     one when the lambda^{Re alpha - n} decay at infinity would be too slow
     to truncate (the representation is independent of n > Re alpha)."""
-    n = Exponent(alpha).witness_n
+    n = int(math.floor(alpha.real)) + 1
     if n - alpha.real < _DECAY_MARGIN:
         n += 1
     return n
@@ -145,7 +126,7 @@ def frac_power(
     prefactor degenerates there); integer real part with nonzero imaginary
     part is rejected for quadrature and served only by the spectral route.
     """
-    a = _as_complex(alpha)
+    a = complex(alpha)
     x = as_array(x)
     if a == 0 or (_is_integer(a.real) and a.imag == 0 and a.real > 0):
         y = x.copy()
@@ -179,7 +160,7 @@ def frac_power(
 
 def spectral_frac_power(handle: OperatorHandle, z, x) -> np.ndarray:
     """A^z x through the eigen-transform; the oracle for every quadrature route."""
-    z = _as_complex(z)
+    z = complex(z)
     if handle.spectral is None:
         raise ValueError("spectral_frac_power needs spectral data")
     x = as_array(x)
@@ -190,7 +171,7 @@ def spectral_frac_power(handle: OperatorHandle, z, x) -> np.ndarray:
 def power_apply(handle: OperatorHandle, z, x) -> np.ndarray:
     """A^z x for any complex z: eigen-multipliers when the handle has
     spectral data, otherwise the contour integral of :func:`_contour_apply`."""
-    z = _as_complex(z)
+    z = complex(z)
     x = as_array(x)
     if z == 0:
         return x.copy()
@@ -279,8 +260,8 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x) -> np.ndarray:
     (:func:`_contour_apply`), which raises ValueError when a Schur eigenvalue
     lies on (-inf, 0], singular handles included.
     """
-    b = _as_complex(beta)
-    g = _as_complex(gamma_exp)
+    b = complex(beta)
+    g = complex(gamma_exp)
     x = as_array(x)
     if b.real < 0 or g.real < b.real:
         raise ValueError("phi_apply needs 0 <= Re beta <= Re gamma")
@@ -321,7 +302,7 @@ def frac_power_unified(
     Admissibility: -Re alpha < Re z < Re beta; A must be injective for
     Re z <= 0. ``x`` is a vector (n,) or a block (k, n) of row vectors.
     """
-    zc, a, b = _as_complex(z), _as_complex(alpha), _as_complex(beta)
+    zc, a, b = complex(z), complex(alpha), complex(beta)
     x = as_array(x)
     if not (-a.real < zc.real < b.real):
         raise ValueError(
@@ -437,7 +418,7 @@ def frac_power_via_semigroup(
     tail_tolerance: float = 1e-9,
 ) -> np.ndarray:
     """A^alpha x = 1/G(beta-alpha) * int t^{-alpha} (tA)^beta e^{-tA} x dt/t."""
-    a, b = _as_complex(alpha), _as_complex(beta)
+    a, b = complex(alpha), complex(beta)
     x = as_array(x)
     if a == 0:
         return x.copy()
@@ -582,7 +563,7 @@ def ergodic_limits(handle: OperatorHandle, alpha, x) -> ErgodicLimits:
     """Evaluate t^a (t+A)^{-a} x and A^a (t+A)^{-a} x across both ergodic
     regimes, on 33 log-spaced t from 1e-8 to 1e8 times the spectral scales,
     and extrapolate the kernel/range splitting."""
-    a = _as_complex(alpha)
+    a = complex(alpha)
     x = as_array(x)
     lo, hi = handle.scales()
     t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
@@ -637,7 +618,7 @@ def reproducing_residual(
     in the same strip |Im ln mu| < pi, so the one quadrature rule serves both
     variants. ``x`` is one vector (n,): the residual is one relative norm.
     """
-    a = _as_complex(alpha)
+    a = complex(alpha)
     if a.real <= 0:
         raise ValueError("needs Re alpha > 0")
     if m < 1:

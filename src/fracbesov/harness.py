@@ -1,21 +1,26 @@
 """Randomized verification harness.
 
 Each structural claim about fractional powers and the operator-adapted
-quasi-norms is encoded as a check over a seeded operator/vector ensemble:
+quasi-norms is encoded as a check over a seeded operator/vector ensemble.
+A check yields the cases of one sample, and one of two drivers owns the
+sample loop and its counts:
 
-* ``exact_identity`` / ``exact_inequality`` checks admit zero violations
-  beyond a 1e-9 slack — they are run in the constant-explicit or termwise
-  form in which they are literally true, not as equivalences;
-* ``ratio_bounded`` checks record ratio statistics and compare the observed
-  spread against a ceiling calibrated beforehand by the brute-force
-  reference routines on a small family: a 4-point diagonal one, and a
-  band-limited 16-point torus one for ``classical_torus`` (observed
-  calibration band x safety factor 10). Each such check is a generator of
-  (lhs, rhs) pairs run by one driver; a case is degenerate, and adds no
-  ratio, when a side is <= 0 or when its caller-supplied index is
-  inadmissible;
-* ``limit`` and ``grid_verification`` checks test convergence and pointwise
-  bounds directly.
+* a ``ratio_bounded`` check yields (lhs, rhs) pairs to ``_ratio_runner``,
+  and the spread of the ratios must stay under a ceiling calibrated by the
+  brute-force reference routines on a small family: a 4-point diagonal one,
+  and a band-limited 16-point torus one for ``classical_torus`` (observed
+  calibration band x safety factor 10). A case is degenerate, and adds no
+  ratio, when a side is <= 0 or its caller-supplied index is inadmissible;
+* a bound check (``exact_inequality``, ``exact_identity`` or ``limit``)
+  yields (excess, allowed, context) cases to ``_bound_runner``, or None for
+  a degenerate case. Its claims are run in the constant-explicit or
+  termwise form in which they are literally true, so a case fails when its
+  excess (how far the value lies beyond its bound or, for the identities
+  and limits, the deviation itself) is above the allowed slack.
+
+``cos_estimate`` (``grid_verification``) loops over nine alphas itself. A
+failure record is the case's context with its ``sample`` and ``excess``, and
+a report's ``max_violation`` is the largest excess, 0.0 when nothing fails.
 
 Six checks range over a BesovIndex grid that the caller may replace:
 ``k_independence``, ``alpha_independence``, ``full_independence``,
@@ -26,10 +31,6 @@ the check would ignore raises ValueError: a ``k`` other than 0 for
 ``k_independence``, a ``k`` or ``alpha`` other than 0 for
 ``semigroup_norm``, entries of different (s, q, k, beta) for
 ``alpha_independence`` and of different (s, q) for ``full_independence``.
-Every failure record states its amount as ``excess``: how far the value
-lies beyond its bound, or, for the identity and limit checks, the deviation
-itself. A report's ``max_violation`` is the largest excess, 0.0 when
-nothing fails.
 
 Reports are deterministic given (suite, config, seed) and serialize to JSON.
 """
@@ -40,7 +41,7 @@ import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,13 +76,6 @@ class EnsembleSpec:
     sampler_params: dict = field(default_factory=dict)
     count: int = 60
     seed: int = DEFAULT_SEED
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family, "params": dict(self.params),
-            "sampler": self.sampler, "sampler_params": dict(self.sampler_params),
-            "count": self.count, "seed": self.seed,
-        }
 
 
 @dataclass
@@ -165,32 +159,32 @@ def draw_samples(spec: EnsembleSpec) -> list[Sample]:
 class _ProdBackend:
     name = "production"
 
-    def inhom(self, s: Sample, idx: BesovIndex, x=None) -> float:
-        return inhom_quasi_norm(s.handle, idx, s.x if x is None else x).value
+    def inhom(self, s: Sample, idx: BesovIndex) -> float:
+        return inhom_quasi_norm(s.handle, idx, s.x).value
 
-    def sum_part(self, s, idx, x=None) -> float:
-        return inhom_quasi_norm(s.handle, idx, s.x if x is None else x).sum_part
+    def sum_part(self, s, idx) -> float:
+        return inhom_quasi_norm(s.handle, idx, s.x).sum_part
 
-    def homog(self, s, idx, x=None) -> float:
-        return homog_quasi_norm(s.handle, idx, s.x if x is None else x).value
+    def homog(self, s, idx) -> float:
+        return homog_quasi_norm(s.handle, idx, s.x).value
 
-    def breve(self, s, idx, x=None) -> float:
-        return breve_quasi_norm(s.handle, idx, s.x if x is None else x).value
+    def breve(self, s, idx) -> float:
+        return breve_quasi_norm(s.handle, idx, s.x).value
 
-    def continuous(self, s, idx, x=None) -> float:
-        return continuous_quasi_norm(s.handle, idx, s.x if x is None else x).value
+    def continuous(self, s, idx) -> float:
+        return continuous_quasi_norm(s.handle, idx, s.x).value
 
-    def semigroup_value(self, s, sm, q, k, beta, x=None) -> float:
-        return semigroup_quasi_norm(s.handle, sm, q, k, beta, s.x if x is None else x).value
+    def semigroup_value(self, s, sm, q, k, beta) -> float:
+        return semigroup_quasi_norm(s.handle, sm, q, k, beta, s.x).value
 
-    def semigroup_sum(self, s, sm, q, k, beta, x=None) -> float:
-        return semigroup_quasi_norm(s.handle, sm, q, k, beta, s.x if x is None else x).sum_part
+    def semigroup_sum(self, s, sm, q, k, beta) -> float:
+        return semigroup_quasi_norm(s.handle, sm, q, k, beta, s.x).sum_part
 
     def interp(self, s, alpha, theta, q) -> float:
         return interpolation_norm(CoupleSpec(s.handle, alpha, theta, q), s.x).value
 
-    def apply_power(self, s, z, x=None) -> np.ndarray:
-        return power_apply(s.handle, z, s.x if x is None else x)
+    def apply_power(self, s, z) -> np.ndarray:
+        return power_apply(s.handle, z, s.x)
 
     def power_sample(self, s, a: float) -> Sample:
         return Sample(OperatorHandle.frac_power(s.handle, a), s.x, s.rng)
@@ -207,63 +201,61 @@ class _RefBackend:
     name = "reference"
 
     @staticmethod
-    def _data(s: Sample, x=None):
+    def _data(s: Sample):
         sd = s.handle.spectral
-        vec = s.x if x is None else x
-        return sd.eigenvalues, sd.to_coeff(vec)
+        return sd.eigenvalues, sd.to_coeff(s.x)
 
-    def inhom(self, s, idx, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def inhom(self, s, idx) -> float:
+        eigs, c = self._data(s)
         return ref.inhom_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
 
-    def sum_part(self, s, idx, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def sum_part(self, s, idx) -> float:
+        eigs, c = self._data(s)
         return ref.sum_part(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
 
-    def homog(self, s, idx, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def homog(self, s, idx) -> float:
+        eigs, c = self._data(s)
         return ref.homog_norm(eigs, c, idx.s, idx.q, idx.alpha, idx.beta)
 
-    def breve(self, s, idx, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def breve(self, s, idx) -> float:
+        eigs, c = self._data(s)
         return ref.breve_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
 
-    def continuous(self, s, idx, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def continuous(self, s, idx) -> float:
+        eigs, c = self._data(s)
         return ref.leading_term(eigs, c, idx.k, idx.alpha) + \
             ref.continuous_sum_part(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
 
-    def semigroup_value(self, s, sm, q, k, beta, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def semigroup_value(self, s, sm, q, k, beta) -> float:
+        eigs, c = self._data(s)
         return float(np.linalg.norm(c)) + ref.semigroup_sum_part(eigs, c, sm, q, k, beta)
 
-    def semigroup_sum(self, s, sm, q, k, beta, x=None) -> float:
-        eigs, c = self._data(s, x)
+    def semigroup_sum(self, s, sm, q, k, beta) -> float:
+        eigs, c = self._data(s)
         return ref.semigroup_sum_part(eigs, c, sm, q, k, beta)
 
     def interp(self, s, alpha, theta, q) -> float:
         eigs, c = self._data(s)
         return ref.interpolation_norm(eigs, c, alpha, theta, q)
 
-    def apply_power(self, s, z, x=None) -> np.ndarray:
+    def apply_power(self, s, z) -> np.ndarray:
         sd = s.handle.spectral
-        eigs, c = self._data(s, x)
+        eigs, c = self._data(s)
         return sd.from_coeff(ref.power_coeffs(eigs, c, z))
 
     def power_sample(self, s, a: float) -> Sample:
-        sd = s.handle.spectral
-        return Sample(OperatorHandle.diagonal(sd.eigenvalues ** a),
-                      sd.to_coeff(s.x), s.rng)
+        return self._diagonal_sample(s, s.handle.spectral.eigenvalues ** a)
 
     def inverse_sample(self, s) -> Sample:
-        sd = s.handle.spectral
-        return Sample(OperatorHandle.diagonal(1.0 / sd.eigenvalues),
-                      sd.to_coeff(s.x), s.rng)
+        return self._diagonal_sample(s, 1.0 / s.handle.spectral.eigenvalues)
 
     def shifted_sample(self, s, eps: float) -> Sample:
-        sd = s.handle.spectral
-        return Sample(OperatorHandle.diagonal(sd.eigenvalues + eps),
-                      sd.to_coeff(s.x), s.rng)
+        return self._diagonal_sample(s, s.handle.spectral.eigenvalues + eps)
+
+    @staticmethod
+    def _diagonal_sample(s: Sample, eigenvalues) -> Sample:
+        """The sample on diag(eigenvalues), with s's vector in eigen-coefficients."""
+        return Sample(OperatorHandle.diagonal(eigenvalues), s.handle.spectral.to_coeff(s.x), s.rng)
 
 
 _PROD = _ProdBackend()
@@ -311,24 +303,10 @@ class EquivalenceReport:
     config_hash: str
 
     def to_payload(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "kind": self.kind,
-            "statement": self.statement,
-            "samples": self.samples,
-            "ratio_stats": None if self.ratio_min is None else {
-                "min": self.ratio_min, "max": self.ratio_max, "median": self.ratio_median,
-            },
-            "ceiling": self.ceiling,
-            "ceiling_provenance": self.ceiling_provenance,
-            "violations": self.violations,
-            "max_violation": self.max_violation,
-            "degenerate": self.degenerate,
-            "verdict": self.verdict,
-            "failures": self.failures,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        payload = asdict(self)
+        stats = {key: payload.pop(f"ratio_{key}") for key in ("min", "max", "median")}
+        payload["ratio_stats"] = None if self.ratio_min is None else stats
+        return payload
 
 
 @dataclass
@@ -353,16 +331,10 @@ def _spread_stats(ratios):
     return float(arr.min()), float(arr.max()), float(np.median(arr)), arr.size == len(ratios)
 
 
-def _fail_record(i, **kw):
-    return {"sample": i, **kw}
-
-
-def _exceeds(out, i, value, bound, slack, **context):
-    """Record a violation of ``value <= bound`` beyond the relative slack;
-    the record's ``excess`` is ``value - bound``."""
-    excess = value - bound
-    if excess > slack * max(bound, 1e-300):
-        out.violations.append(_fail_record(i, excess=excess, **context))
+def _above(value, bound, slack, **context):
+    """The case ``value <= bound`` of a bound check, up to the relative
+    slack: its excess is ``value - bound``."""
+    return value - bound, slack * max(bound, 1e-300), context
 
 
 def _admissible(evaluate):
@@ -405,9 +377,27 @@ def _ratio_runner(pairs):
     return run
 
 
+def _bound_runner(cases):
+    """Runner of a bound check: ``cases(sample, backend, tol)`` yields one
+    ``(excess, allowed, context)`` per case, or None for a degenerate case.
+    A case whose excess is above the allowed amount is a violation, recorded
+    as ``{"sample": i, "excess": excess, **context}``."""
+    def run(samples, backend, tol, grid):
+        out = CheckOutcome()
+        for i, s in enumerate(samples):
+            out.samples += 1
+            for case in cases(s, backend, tol):
+                if case is None:
+                    out.degenerate += 1
+                elif case[0] > case[1]:
+                    out.violations.append({"sample": i, "excess": case[0], **case[2]})
+        return out
+    return run
+
+
 # --------------------------------------------------------------------------
-# check implementations: runner(samples, backend, tol, grid) -> CheckOutcome;
-# a ratio check is a generator of (lhs, rhs) pairs wrapped by _ratio_runner
+# check implementations: runner(samples, backend, tol, grid) -> CheckOutcome,
+# mostly a case generator wrapped by _ratio_runner or _bound_runner
 # --------------------------------------------------------------------------
 
 @_ratio_runner
@@ -448,38 +438,27 @@ def _run_continuity_equiv(s, backend, grid):
         yield _admissible(lambda: (backend.inhom(s, ix), backend.continuous(s, ix)))
 
 
-def _run_embed_q(samples, backend, tol, grid):
-    out = CheckOutcome()
-    q_pairs = [(0.5, 1.0), (1.0, 2.0), (2.0, math.inf)]
-    idx0 = BesovIndex(0.5, 2.0, 0, 0.25, 1.0)
-    js = np.arange(0, 48)
-    for i, s in enumerate(samples):
-        out.samples += 1
-        blocks = dyadic_blocks(s.handle, js, idx0, s.x)
-        for q, q1 in q_pairs:
-            _exceeds(out, i, _lq_aggregate(blocks, q1), _lq_aggregate(blocks, q),
+@_bound_runner
+def _run_embed_q(s, backend, tol):
+    blocks = dyadic_blocks(s.handle, np.arange(0, 48), BesovIndex(0.5, 2.0, 0, 0.25, 1.0), s.x)
+    for q, q1 in ((0.5, 1.0), (1.0, 2.0), (2.0, math.inf)):
+        yield _above(_lq_aggregate(blocks, q1), _lq_aggregate(blocks, q),
                      tol.exact_slack, q=q, q1=q1)
-    return out
 
 
-def _run_embed_s(samples, backend, tol, grid):
-    out = CheckOutcome()
+@_bound_runner
+def _run_embed_s(s, backend, tol):
     s_lo, s_hi = 0.2, 0.6
     js = np.arange(0, 48)
-    pq_pairs = [(0.5, 2.0), (1.0, 2.0), (0.5, 1.0)]
-    for i, smp in enumerate(samples):
-        out.samples += 1
-        idx_hi = BesovIndex(s_hi, 1.5, 0, 0.3, 1.0)
-        b_hi = dyadic_blocks(smp.handle, js, idx_hi, smp.x)
-        b_lo = np.exp2(js * (s_lo - s_hi)) * b_hi      # blocks at smoothness s_lo
-        for q in (0.5, 1.5, math.inf):
-            _exceeds(out, i, _lq_aggregate(b_lo, q), _lq_aggregate(b_hi, q),
+    b_hi = dyadic_blocks(s.handle, js, BesovIndex(s_hi, 1.5, 0, 0.3, 1.0), s.x)
+    b_lo = np.exp2(js * (s_lo - s_hi)) * b_hi      # blocks at smoothness s_lo
+    for q in (0.5, 1.5, math.inf):
+        yield _above(_lq_aggregate(b_lo, q), _lq_aggregate(b_hi, q),
                      tol.exact_slack, q=q, part="termwise")
-        for p, q in pq_pairs:
-            c_holder = (1.0 / (1.0 - 2.0 ** ((s_lo - s_hi) * q * p / (q - p)))) ** (1.0 / p - 1.0 / q)
-            _exceeds(out, i, _lq_aggregate(b_lo, p), c_holder * _lq_aggregate(b_hi, q),
+    for p, q in ((0.5, 2.0), (1.0, 2.0), (0.5, 1.0)):
+        c_holder = (1.0 / (1.0 - 2.0 ** ((s_lo - s_hi) * q * p / (q - p)))) ** (1.0 / p - 1.0 / q)
+        yield _above(_lq_aggregate(b_lo, p), c_holder * _lq_aggregate(b_hi, q),
                      tol.exact_slack, p=p, q=q, part="hoelder")
-    return out
 
 
 @_ratio_runner
@@ -495,8 +474,8 @@ def _run_lifting_pos(s, backend, grid):
     s_val, q = 0.8, 2.0
     src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.5, 1.5))
     for g in (0.3, 0.25 + 0.2j):
-        y = backend.apply_power(s, g)
-        yield backend.inhom(s, BesovIndex(s_val - complex(g).real, q, 0, 0.5, 1.5), x=y), src
+        y = replace(s, x=backend.apply_power(s, g))
+        yield backend.inhom(y, BesovIndex(s_val - complex(g).real, q, 0, 0.5, 1.5)), src
 
 
 @_ratio_runner
@@ -505,9 +484,9 @@ def _run_lifting_equiv(s, backend, grid):
     for q in (1.0, math.inf):
         src = backend.inhom(s, BesovIndex(s_val, q, 0, 0.0, 1.0))
         for g in (0.5, 0.3 + 0.2j):
-            y = backend.apply_power(s, -complex(g))
+            y = replace(s, x=backend.apply_power(s, -complex(g)))
             s_dst = s_val + complex(g).real
-            yield backend.inhom(s, BesovIndex(s_dst, q, 0, 0.0, math.ceil(s_dst) + 1.0), x=y), src
+            yield backend.inhom(y, BesovIndex(s_dst, q, 0, 0.0, math.ceil(s_dst) + 1.0)), src
 
 
 @_ratio_runner
@@ -532,24 +511,16 @@ def _run_interpolation(s, backend, grid):
 
 
 def _inverse_identity(norm, inverse_norm, s_val, a, b):
-    """Runner of an index-swap identity: the ``norm`` at (-s, alpha=b, beta=a)
-    under A equals the ``inverse_norm`` at (s, alpha=a, beta=b) under A^{-1}."""
-    def run(samples, backend, tol, grid):
-        out = CheckOutcome()
-        for i, s in enumerate(samples):
-            out.samples += 1
-            inv = backend.inverse_sample(s)
-            for q in (1.0, 2.0):
-                lhs = getattr(backend, norm)(s, BesovIndex(-s_val, q, 0, b, a))
-                rhs = getattr(backend, inverse_norm)(inv, BesovIndex(s_val, q, 0, a, b))
-                if rhs <= 0:
-                    out.degenerate += 1
-                    continue
-                rel = abs(lhs - rhs) / rhs
-                if rel > tol.identity_slack:
-                    out.violations.append(_fail_record(i, q=q, excess=rel))
-        return out
-    return run
+    """Cases of an index-swap identity: the ``norm`` at (-s, alpha=b, beta=a)
+    under A equals the ``inverse_norm`` at (s, alpha=a, beta=b) under A^{-1},
+    to a relative deviation; a case with inverse-side norm <= 0 is degenerate."""
+    def cases(s, backend, tol):
+        inv = backend.inverse_sample(s)
+        for q in (1.0, 2.0):
+            lhs = getattr(backend, norm)(s, BesovIndex(-s_val, q, 0, b, a))
+            rhs = getattr(backend, inverse_norm)(inv, BesovIndex(s_val, q, 0, a, b))
+            yield None if rhs <= 0 else (abs(lhs - rhs) / rhs, tol.identity_slack, {"q": q})
+    return cases
 
 
 @_ratio_runner
@@ -559,90 +530,72 @@ def _run_inhom_homog_cap(s, backend, grid):
         yield backend.inhom(s, idx), backend.homog(s, idx) + float(np.linalg.norm(s.x))
 
 
-def _run_domain_sandwich(samples, backend, tol, grid):
-    out = CheckOutcome()
+@_bound_runner
+def _run_domain_sandwich(s, backend, tol):
     alpha, s_lo, s_hi, beta = 0.6, 0.35, 0.85, 1.2
     n_w = 1           # witness for alpha
     m_w = 1           # witness for beta - alpha
     m_b = 2           # witness for beta
-    for i, s in enumerate(samples):
-        out.samples += 1
-        m_const, l_const = s.handle.constants()
-        ax = backend.apply_power(s, alpha)
-        n_ax = float(np.linalg.norm(ax))
-        n_x = float(np.linalg.norm(s.x))
-        c0 = composition_bound_constant(alpha, n_w) * \
-            composition_bound_constant(beta - alpha, m_w) * m_const ** n_w * l_const ** m_w
-        for q in (0.5, 1.0, 2.0, math.inf):
-            lhs = backend.sum_part(s, BesovIndex(s_lo, q, 0, 0.0, beta))
-            geom = 1.0 if math.isinf(q) else (1.0 / (1.0 - 2.0 ** ((s_lo - alpha) * q))) ** (1.0 / q)
-            _exceeds(out, i, lhs, c0 * geom * n_ax, tol.exact_slack, q=q, side="upper")
-            # reverse side: ||A^a x|| against the s_hi sum part
-            sp = backend.sum_part(s, BesovIndex(s_hi, q, 0, 0.0, beta))
-            g_pref = abs(gamma(beta) / (gamma(alpha) * gamma(beta - alpha)))
-            c_rd = composition_bound_constant(beta, m_b) * \
-                (l_const + m_const) ** m_b * (l_const + m_const + 1.0) ** m_b
-            if math.isinf(q):
-                hold = 1.0 / (1.0 - 2.0 ** (alpha - s_hi))
-            elif q <= 1.0:
-                hold = 1.0
-            else:
-                qp = q / (q - 1.0)
-                hold = (1.0 / (1.0 - 2.0 ** ((alpha - s_hi) * qp))) ** (1.0 / qp)
-            bound2 = g_pref * (composition_bound_constant(beta, m_b) * l_const ** m_b / alpha * n_x
-                               + math.log(2.0) * 2.0 ** alpha * c_rd * hold * sp)
-            _exceeds(out, i, n_ax, bound2, tol.exact_slack, q=q, side="lower")
-    return out
+    m_const, l_const = s.handle.constants()
+    ax = backend.apply_power(s, alpha)
+    n_ax = float(np.linalg.norm(ax))
+    n_x = float(np.linalg.norm(s.x))
+    c0 = composition_bound_constant(alpha, n_w) * \
+        composition_bound_constant(beta - alpha, m_w) * m_const ** n_w * l_const ** m_w
+    for q in (0.5, 1.0, 2.0, math.inf):
+        lhs = backend.sum_part(s, BesovIndex(s_lo, q, 0, 0.0, beta))
+        geom = 1.0 if math.isinf(q) else (1.0 / (1.0 - 2.0 ** ((s_lo - alpha) * q))) ** (1.0 / q)
+        yield _above(lhs, c0 * geom * n_ax, tol.exact_slack, q=q, side="upper")
+        # reverse side: ||A^a x|| against the s_hi sum part
+        sp = backend.sum_part(s, BesovIndex(s_hi, q, 0, 0.0, beta))
+        g_pref = abs(gamma(beta) / (gamma(alpha) * gamma(beta - alpha)))
+        c_rd = composition_bound_constant(beta, m_b) * \
+            (l_const + m_const) ** m_b * (l_const + m_const + 1.0) ** m_b
+        if math.isinf(q):
+            hold = 1.0 / (1.0 - 2.0 ** (alpha - s_hi))
+        elif q <= 1.0:
+            hold = 1.0
+        else:
+            qp = q / (q - 1.0)
+            hold = (1.0 / (1.0 - 2.0 ** ((alpha - s_hi) * qp))) ** (1.0 / qp)
+        bound2 = g_pref * (composition_bound_constant(beta, m_b) * l_const ** m_b / alpha * n_x
+                           + math.log(2.0) * 2.0 ** alpha * c_rd * hold * sp)
+        yield _above(n_ax, bound2, tol.exact_slack, q=q, side="lower")
 
 
-def _run_denseness(samples, backend, tol, grid):
-    out = CheckOutcome()
+@_bound_runner
+def _run_denseness(s, backend, tol):
     beta = 1.5
     ms = [4, 8, 12, 16, 20, 24]
-    for i, s in enumerate(samples):
-        out.samples += 1
-        for s_val in (0.4, -0.4):
-            idx = BesovIndex(s_val, 2.0, 0, 1.0, beta)
-            base = backend.inhom(s, idx)
-            n_vals = 2.0 ** np.array(ms)
-            approx = (n_vals ** beta)[:, None] * phi_apply(s.handle, 0.0, beta, n_vals, s.x)
-            gaps = [backend.inhom(s, idx, x=s.x - ap) / max(base, 1e-300) for ap in approx]
-            final_bound = 1e-4 * max(gaps[0], 1e-300)
-            ok_final = gaps[-1] <= final_bound
-            decrements = np.diff(np.log2(np.maximum(gaps, 1e-280))) / np.diff(ms)
-            rate = float(np.median(decrements))
-            ok_rate = rate <= -0.8
-            if not (ok_final and ok_rate):
-                # the excess is the larger overshoot: of the final gap past its
-                # bound, or of the median rate past -0.8
-                out.violations.append(_fail_record(
-                    i, s=s_val, final_gap=gaps[-1], first_gap=gaps[0], median_rate=rate,
-                    excess=max(gaps[-1] - final_bound, rate + 0.8)))
-    return out
+    n_vals = 2.0 ** np.array(ms)
+    approx = (n_vals ** beta)[:, None] * phi_apply(s.handle, 0.0, beta, n_vals, s.x)
+    for s_val in (0.4, -0.4):
+        idx = BesovIndex(s_val, 2.0, 0, 1.0, beta)
+        base = backend.inhom(s, idx)
+        gaps = [backend.inhom(replace(s, x=s.x - ap), idx) / max(base, 1e-300) for ap in approx]
+        final_bound = 1e-4 * max(gaps[0], 1e-300)
+        rate = float(np.median(np.diff(np.log2(np.maximum(gaps, 1e-280))) / np.diff(ms)))
+        # the final gap must be under its bound and the median rate at most
+        # -0.8: the excess is the larger of the two overshoots
+        yield (max(gaps[-1] - final_bound, rate + 0.8), 0.0,
+               {"s": s_val, "final_gap": gaps[-1], "first_gap": gaps[0], "median_rate": rate})
 
 
-def _run_ergodicity(samples, backend, tol, grid):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        sd = s.handle.spectral
-        kermask = sd.eigenvalues == 0
-        c = sd.to_coeff(s.x)
-        x0 = sd.from_coeff(np.where(kermask, c, 0.0))
-        x1 = sd.from_coeff(np.where(kermask, 0.0, c))
-        scale = max(np.linalg.norm(s.x), 1e-300)
-        for a in (0.5, 1.0):
-            lim = ergodic_limits(s.handle, a, s.x)
-            checks = {
-                "limit_at_infinity": np.linalg.norm(lim.limit_at_infinity - s.x),
-                "kernel_split": np.linalg.norm(lim.limit_at_zero - x0),
-                "range_split": np.linalg.norm(lim.range_component - x1),
-                "kernel_identity": np.linalg.norm(power_apply(s.handle, a, x0)),
-            }
-            for name, err in checks.items():
-                if err > tol.limit_tol * scale:
-                    out.violations.append(_fail_record(i, alpha=a, part=name, excess=float(err)))
-    return out
+@_bound_runner
+def _run_ergodicity(s, backend, tol):
+    sd = s.handle.spectral
+    kermask = sd.eigenvalues == 0
+    c = sd.to_coeff(s.x)
+    x0 = sd.from_coeff(np.where(kermask, c, 0.0))
+    x1 = sd.from_coeff(np.where(kermask, 0.0, c))
+    scale = max(np.linalg.norm(s.x), 1e-300)
+    for a in (0.5, 1.0):
+        lim = ergodic_limits(s.handle, a, s.x)
+        for part, err in (("limit_at_infinity", lim.limit_at_infinity - s.x),
+                          ("kernel_split", lim.limit_at_zero - x0),
+                          ("range_split", lim.range_component - x1),
+                          ("kernel_identity", power_apply(s.handle, a, x0))):
+            yield float(np.linalg.norm(err)), tol.limit_tol * scale, {"alpha": a, "part": part}
 
 
 @_ratio_runner
@@ -673,6 +626,8 @@ def _run_subordinated_norm(s, backend, grid):
 
 
 def _run_cos_estimate(samples, backend, tol, grid):
+    # its nine samples are its alphas: it draws from a count-0 ensemble, whose
+    # description still enters the config hash
     out = CheckOutcome()
     ts = np.geomspace(1e-3, 1e3, 1000)
     fracs = np.linspace(0.5, 1.0, 1000)
@@ -687,7 +642,7 @@ def _run_cos_estimate(samples, backend, tol, grid):
         viol = f_u - k_alpha * f_t[:, None]
         worst = float(viol.max())
         if worst > tol.exact_slack * float(np.abs(k_alpha * f_t).max()):
-            out.violations.append(_fail_record(a10, alpha=alpha, excess=worst))
+            out.violations.append({"sample": a10, "alpha": alpha, "excess": worst})
     return out
 
 
@@ -709,35 +664,34 @@ def _run_ellq_operator(s, backend, grid):
                 yield _lq_aggregate(np.abs(b_seq), q), max(_lq_aggregate(a_seq, q), 1e-300)
 
 
-def _run_uniform_bounds(samples, backend, tol, grid):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        handle = s.handle
-        exact = handle.spectral is not None
-        m_const, l_const = handle.constants()
-        alphas = [0.6, 1.4, 0.7 + 0.5j] if exact else [0.6, 1.4]
-        lo, hi = handle.scales()
-        lams = np.geomspace(lo * 1e-4, hi * 1e4, 25 if exact else 9)
-        for a in alphas:
-            a_c, label = complex(a), str(a)
-            n_w = int(math.floor(a_c.real)) + 1
-            c_an = composition_bound_constant(a_c, n_w)
-            m_bound = c_an * m_const ** n_w
-            l_bound = c_an * l_const ** n_w
-            nms = _composite_norms(handle, a_c, lams, kind="M")
-            nls = _composite_norms(handle, a_c, lams, kind="L")
-            for lam, nm, nl in zip(lams.tolist(), nms.tolist(), nls.tolist()):
-                _exceeds(out, i, nm, m_bound, tol.exact_slack, alpha=label, lam=lam, part="M")
-                _exceeds(out, i, nl, l_bound, tol.exact_slack, alpha=label, lam=lam, part="L")
-            for c_ratio in (0.5, 2.0):
-                c_bound = c_an * (l_const + max(c_ratio, 1.0) * m_const) ** n_w
-                t_vals = np.geomspace(lo * 0.01, hi * 100.0, 5 if exact else 3)
-                ncs = _composite_norms(handle, a_c, t_vals, kind="C", c_ratio=c_ratio)
-                for t_val, nc in zip(t_vals.tolist(), ncs.tolist()):
-                    _exceeds(out, i, nc, c_bound, tol.exact_slack,
+@_bound_runner
+def _run_uniform_bounds(s, backend, tol):
+    handle = s.handle
+    exact = handle.spectral is not None
+    m_const, l_const = handle.constants()
+    alphas = [0.6, 1.4, 0.7 + 0.5j] if exact else [0.6, 1.4]
+    lo, hi = handle.scales()
+    lams = np.geomspace(lo * 1e-4, hi * 1e4, 25 if exact else 9)
+    for a in alphas:
+        a_c, label = complex(a), str(a)
+        n_w = int(math.floor(a_c.real)) + 1
+        c_an = composition_bound_constant(a_c, n_w)
+        m_bound = c_an * m_const ** n_w
+        l_bound = c_an * l_const ** n_w
+        nms = _composite_norms(handle, a_c, lams, kind="M")
+        nls = _composite_norms(handle, a_c, lams, kind="L")
+        for lam, nm, nl in zip(lams.tolist(), nms.tolist(), nls.tolist()):
+            yield _above(nm, m_bound, tol.exact_slack, alpha=label, lam=lam, part="M")
+            yield _above(nl, l_bound, tol.exact_slack, alpha=label, lam=lam, part="L")
+        for c_ratio in (0.5, 2.0):
+            c_bound = c_an * (l_const + max(c_ratio, 1.0) * m_const) ** n_w
+            t_vals = np.geomspace(lo * 0.01, hi * 100.0, 5 if exact else 3)
+            ncs = _composite_norms(handle, a_c, t_vals, kind="C", c_ratio=c_ratio)
+            for t_val, nc in zip(t_vals.tolist(), ncs.tolist()):
+                yield _above(nc, c_bound, tol.exact_slack,
                              alpha=label, t=t_val, c=c_ratio, part="C")
-    return out
+
+
 def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
                      c_ratio: float = 0.0) -> np.ndarray:
     """Euclidean operator norms of lam^a (lam+A)^{-a}, A^a (lam+A)^{-a} or
@@ -766,46 +720,37 @@ def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
     return np.linalg.norm(np.asarray(mats), 2, axis=(-2, -1))
 
 
-
-def _run_moment(samples, backend, tol, grid):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        handle = s.handle
-        m_const = handle.constants()[0]
-        slack = tol.exact_slack if handle.spectral is not None else 1e-6
-        n_w = int(s.rng.integers(1, 4))
-        a = float(s.rng.uniform(0.1, n_w - 0.1))
-        ax = power_apply(handle, a, s.x)
-        y = s.x
-        for _ in range(n_w):
-            y = handle.apply(y)
-        c_bound = moment_constant(a, n_w, m_const)
-        rhs = c_bound * np.linalg.norm(y) ** (a / n_w) * \
-            np.linalg.norm(s.x) ** (1.0 - a / n_w)
-        _exceeds(out, i, float(np.linalg.norm(ax)), rhs, slack, alpha=a, n=n_w)
-    return out
+@_bound_runner
+def _run_moment(s, backend, tol):
+    handle = s.handle
+    m_const = handle.constants()[0]
+    slack = tol.exact_slack if handle.spectral is not None else 1e-6
+    n_w = int(s.rng.integers(1, 4))
+    a = float(s.rng.uniform(0.1, n_w - 0.1))
+    ax = power_apply(handle, a, s.x)
+    y = s.x
+    for _ in range(n_w):
+        y = handle.apply(y)
+    c_bound = moment_constant(a, n_w, m_const)
+    rhs = c_bound * np.linalg.norm(y) ** (a / n_w) * \
+        np.linalg.norm(s.x) ** (1.0 - a / n_w)
+    yield _above(float(np.linalg.norm(ax)), rhs, slack, alpha=a, n=n_w)
 
 
-def _run_spectral_map(samples, backend, tol, grid):
-    out = CheckOutcome()
-    for i, s in enumerate(samples):
-        out.samples += 1
-        sd = s.handle.spectral
-        for a in (0.5, 2.0, 0.7 + 0.4j):
-            # rows of the block are the images of the basis vectors
-            mat = power_apply(s.handle, a, np.eye(s.handle.dim, dtype=complex)).T
-            got = np.sort_complex(np.linalg.eigvals(mat))
-            mu = sd.eigenvalues.astype(complex)
-            want = np.zeros_like(mu)
-            pos = mu.real > 0
-            want[pos] = np.exp(complex(a) * np.log(mu[pos]))
-            want = np.sort_complex(want)
-            scale = max(np.abs(want).max(), 1e-300)
-            err = float(np.abs(got - want).max() / scale)
-            if err > tol.spectral_map_slack:
-                out.violations.append(_fail_record(i, alpha=str(a), excess=err))
-    return out
+@_bound_runner
+def _run_spectral_map(s, backend, tol):
+    sd = s.handle.spectral
+    for a in (0.5, 2.0, 0.7 + 0.4j):
+        # rows of the block are the images of the basis vectors
+        mat = power_apply(s.handle, a, np.eye(s.handle.dim, dtype=complex)).T
+        got = np.sort_complex(np.linalg.eigvals(mat))
+        mu = sd.eigenvalues.astype(complex)
+        want = np.zeros_like(mu)
+        pos = mu.real > 0
+        want[pos] = np.exp(complex(a) * np.log(mu[pos]))
+        want = np.sort_complex(want)
+        scale = max(np.abs(want).max(), 1e-300)
+        yield float(np.abs(got - want).max() / scale), tol.spectral_map_slack, {"alpha": str(a)}
 
 
 def _lp_fourier_norm(x: np.ndarray, smoothness: float, q: float) -> float:
@@ -933,12 +878,12 @@ _register(
     "inverse_breve", "exact_identity",
     "the reversed-level quasi-norm at -s under A equals the inhomogeneous "
     "quasi-norm at s under the inverse operator (swapped exponents, k=0)",
-    _inverse_identity("breve", "inhom", 0.5, 0.7, 1.1), [_diag(50), _spd(10)])
+    _bound_runner(_inverse_identity("breve", "inhom", 0.5, 0.7, 1.1)), [_diag(50), _spd(10)])
 _register(
     "inverse_homog", "exact_identity",
     "the homogeneous quasi-norm at -s under A equals the one at s under the "
     "inverse operator (swapped exponents)",
-    _inverse_identity("homog", "homog", 0.4, 0.6, 1.2), [_diag(50), _spd(10)])
+    _bound_runner(_inverse_identity("homog", "homog", 0.4, 0.6, 1.2)), [_diag(50), _spd(10)])
 _register(
     "inhom_homog_cap", "ratio_bounded",
     "for s > 0 on invertible operators, inhomogeneous = homogeneous + ambient",
@@ -1064,18 +1009,13 @@ def run_check(
                               f"{tol.ratio_safety:g}")
                 if not all_finite or (rmax / rmin) > ceiling:
                     verdict = "fail"
-    else:
-        if outcome.violations:
-            verdict = "fail"
-        elif outcome.samples == 0:
-            verdict = "degenerate"
+    elif outcome.violations:
+        verdict = "fail"
+    elif outcome.samples == 0:
+        verdict = "degenerate"
 
     max_violation = max((float(v["excess"]) for v in outcome.violations), default=0.0)
-    cfg = {
-        "check_id": check_id,
-        "seed": seed,
-        "ensembles": [s.describe() for s in specs],
-    }
+    cfg = {"check_id": check_id, "seed": seed, "ensembles": [asdict(s) for s in specs]}
     return EquivalenceReport(
         check_id=check_id, kind=cd.kind, statement=cd.statement,
         samples=outcome.samples,

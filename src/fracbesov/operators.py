@@ -81,29 +81,7 @@ def vector_norm(x: np.ndarray, norm: NormKind = EUCLIDEAN) -> float:
     return float(vector_norms(np.ravel(x), norm))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorElement:
-    """A vector of the ambient space together with its norm convention."""
-    values: np.ndarray
-    norm_kind: NormKind = EUCLIDEAN
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("vector must be 1-d with dimension >= 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    def norm(self) -> float:
-        return vector_norm(self.values, self.norm_kind)
-
-
 def as_array(x) -> np.ndarray:
-    if isinstance(x, VectorElement):
-        return x.values
     return np.asarray(x, dtype=complex)
 
 

@@ -60,7 +60,6 @@ class QuadratureDiagnostics:
     tail_low: float = 0.0
     tail_high: float = 0.0
     widenings: int = 0
-    value_norm: float = 0.0
     discretization: float = 0.0     # last |T_h - T_2h|
 
     @property
@@ -121,7 +120,7 @@ def integrate_multiplicative(
         ref = float(np.linalg.norm(np.atleast_1d(total)))
 
         if mags.max() == 0.0:
-            return total, QuadratureDiagnostics(u_min, u_max, nodes, 0.0, 0.0, widening, 0.0)
+            return total, QuadratureDiagnostics(u_min, u_max, nodes, 0.0, 0.0, widening)
 
         tail_lo = float(mags[0]) / decay_lo
         tail_hi = float(mags[-1]) / decay_hi
@@ -157,7 +156,7 @@ def integrate_multiplicative(
                 break
         if max(tail_lo, tail_hi) <= tol * ref:
             return total, QuadratureDiagnostics(u_min, u_max, nodes, tail_lo, tail_hi,
-                                                widening, ref, diff)
+                                                widening, diff)
         # the step-1 level overestimated the integral, so the window was
         # certified against too large a value: certify it against this one
         ref_conv = ref

@@ -374,20 +374,6 @@ def test_full_line_integral_identification():
     assert max(ratios) <= 16.0
 
 
-def test_vector_element_inputs_accepted():
-    from fracbesov.operators import VectorElement
-    idx = BesovIndex(0.5, 2.0, 0, 0.0, 1.0)
-    v = VectorElement(np.array([1.0, 1.0]))
-    assert inhom_quasi_norm(DIAG14, idx, v).value == \
-        inhom_quasi_norm(DIAG14, idx, ONES2).value
-
-
-def test_exponent_objects_accepted():
-    from fracbesov.fractional import Exponent, frac_power
-    y = frac_power(DIAG14, Exponent(0.5), ONES2)
-    assert np.abs(y - [1.0, 2.0]).max() <= 1e-8
-
-
 def test_norm_result_tail_invariant():
     r = inhom_quasi_norm(DIAG14, BesovIndex(0.5, 2.0, 0, 0.0, 1.0), ONES2,
                          tail_tolerance=1e-8)

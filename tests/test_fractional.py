@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fracbesov.fractional import (
-    Exponent,
     SemigroupUnavailableError,
     ergodic_limits,
     frac_power,
@@ -48,12 +47,6 @@ def _spd(rng, n, lo=0.3, hi=30.0):
 
 
 # ------------------------------------------------------------ frac_power ----
-
-def test_exponent_witness():
-    assert Exponent(0.5).witness_n == 1
-    assert Exponent(1.0).witness_n == 2
-    assert Exponent(2.3 + 5j).witness_n == 3
-
 
 def test_scalar_square_root():
     h = OperatorHandle.diagonal([2.0])

@@ -1,5 +1,6 @@
 """Verification harness: ensembles, reports, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -189,3 +190,40 @@ def test_tolerance_profile_propagates():
     rep = run_check("translation", tolerance_profile=tol)
     assert rep.verdict == "pass"
     assert rep.ceiling > 1e5
+
+
+# (samples, violations, degenerate) of each non-ratio check when every case fails
+FORCED_FAILURES = {
+    "embed_q": (2, 6, 0), "embed_s": (2, 12, 0), "inverse_breve": (4, 8, 0),
+    "inverse_homog": (4, 8, 0), "domain_sandwich": (2, 16, 0), "denseness": (2, 4, 0),
+    "ergodicity": (2, 16, 0), "cos_estimate": (9, 9, 0), "uniform_bounds": (4, 456, 0),
+    "moment": (6, 4, 0), "spectral_map": (5, 15, 0),
+}
+
+
+def test_forced_failure_records_are_pinned(monkeypatch):
+    # a slack of -1 fails every case whose value is positive; moment keeps its
+    # fixed 1e-6 slack on the two non-normal samples, which pass. denseness has
+    # fixed thresholds, so its approximants are zeroed instead
+    from fracbesov import harness
+    tol = ToleranceProfile(exact_slack=-1, identity_slack=-1, spectral_map_slack=-1,
+                           limit_tol=-1)
+    assert set(FORCED_FAILURES) == {c for c in SUITE_ORDER
+                                    if CHECKS[c].kind != "ratio_bounded"}
+    records = []
+    for cid, (samples, violations, degenerate) in FORCED_FAILURES.items():
+        outcomes = []
+        with monkeypatch.context() as m:
+            runner = CHECKS[cid].runner
+            m.setattr(CHECKS[cid], "runner", lambda *a: outcomes.append(runner(*a)) or outcomes[-1])
+            if cid == "denseness":
+                m.setattr(harness, "phi_apply", lambda handle, b, g, lams, x:
+                          np.zeros((len(lams),) + x.shape, dtype=complex))
+            rep = run_check(cid, tolerance_profile=tol, count_override=2)
+        assert (rep.verdict, rep.samples, rep.violations, rep.degenerate) == \
+            ("fail", samples, violations, degenerate), cid
+        # the report keeps 20 records; max_violation reads all of them
+        assert rep.max_violation == max(v["excess"] for v in outcomes[0].violations)
+        records.append([cid, [[f["sample"], sorted(f)] for f in rep.failures]])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "d6bd8c19f233c00c88ce083db5320643e213de94565b518f8f14d40a86427fc6", records

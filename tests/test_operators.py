@@ -12,7 +12,6 @@ from fracbesov.operators import (
     NormKind,
     OperatorHandle,
     SingularResolventError,
-    VectorElement,
     build_operator,
     estimate_nonnegativity_constants,
     vector_norm,
@@ -62,14 +61,6 @@ def test_triangle_and_quasi_triangle(n, seed, p):
     lhs = vector_norm(x + y, nk)
     rhs = k_const * (vector_norm(x, nk) + vector_norm(y, nk))
     assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_vector_element():
-    v = VectorElement(np.array([1.0, 2.0]))
-    assert v.dim == 2
-    assert v.norm() == pytest.approx(math.sqrt(5))
-    with pytest.raises(ValueError):
-        VectorElement(np.zeros((2, 2)))
 
 
 # --------------------------------------------------------------- actions ----
