@@ -14,6 +14,14 @@ cross-check of the subordinated semigroup. On handles without spectral
 data, A^z and the compositions A^b (l+A)^{-g} are one Cauchy integral over a
 contour around the spectrum, whose nodes serve every shift l and every
 exponent at once.
+
+On handles with eigen-data every evaluator works in eigen-coordinates
+(:func:`_coordinates`): it maps x to coefficients once at entry, every
+quadrature node weights coefficient rows by scalar multipliers of the
+eigenvalues, and the integral (linear in the rows) is mapped back once at
+exit. The multipliers l^pre mu^b (l+mu)^{-g} are combined in log space
+(:func:`_log_multiplier_rows`), in real arithmetic when the exponents are
+real.
 """
 
 from __future__ import annotations
@@ -67,28 +75,60 @@ def _representation_order(alpha: complex) -> int:
     return n
 
 
-def _log_multiplier_rows(sdata, lams: np.ndarray, pre: complex, beta: complex,
+def _log_multiplier_rows(eigs: np.ndarray, lams: np.ndarray, pre: complex, beta: complex,
                          gamma_exp: complex, coeff: np.ndarray) -> np.ndarray:
-    """Rows lam_i^pre * mu_j^beta * (lam_i + mu_j)^{-gamma} * coeff_j, combined
-    in log space so wide quadrature windows cannot overflow. ``coeff`` is one
-    coefficient vector (rows (len(lams), n)) or a block (k, n) (rows
-    (len(lams), k, n))."""
-    pre, beta, gamma_exp = complex(pre), complex(beta), complex(gamma_exp)
-    eigs = sdata.eigenvalues
-    lu = np.log(lams).reshape((-1,) + (1,) * coeff.ndim)
-    out = np.zeros((len(lams),) + coeff.shape, dtype=complex)
-    pos = eigs > 0
-    if np.any(pos):
-        lm = np.log(eigs[pos])
-        lsum = np.logaddexp(lu, lm)
-        out[..., pos] = np.exp(pre * lu + beta * lm - gamma_exp * lsum) * coeff[..., pos]
-    if np.any(~pos):
-        if beta == 0:
-            out[..., ~pos] = np.exp((pre - gamma_exp) * lu) * coeff[..., ~pos]
-        elif beta.real <= 0:
-            raise ValueError("zero eigenvalue needs Re beta > 0 or beta = 0")
-        # Re beta > 0: the zero modes contribute nothing
-    return sdata.from_coeff(out)
+    """Coefficient rows lam_i^pre * mu_j^beta * (lam_i + mu_j)^{-gamma} * coeff_j
+    over the eigenvalues mu_j (:func:`_multiplier_rows`), in real arithmetic
+    when all three exponents are real and in complex arithmetic otherwise.
+    ``coeff`` is one coefficient vector (rows (len(lams), n)) or a block
+    (k, n) (rows (len(lams), k, n))."""
+    exps = [complex(pre), complex(beta), complex(gamma_exp)]
+    if all(e.imag == 0 for e in exps):
+        exps = [e.real for e in exps]
+    return _multiplier_rows(eigs, lams, *exps, coeff)
+
+
+def _multiplier_rows(eigs, lams, pre, beta, gamma_exp, coeff):
+    """The rows of :func:`_log_multiplier_rows` in the arithmetic of the
+    exponents as given. Each weight is the exponential of
+    pre ln lam + beta ln mu - gamma ln(lam + mu), so wide quadrature windows
+    cannot overflow. At mu = 0 the weight is lam^{pre - gamma} for beta = 0
+    and 0 for Re beta > 0; any other beta raises."""
+    zero = eigs <= 0
+    has_zero = bool(zero.any())
+    if has_zero and beta != 0 and beta.real <= 0:
+        raise ValueError("zero eigenvalue needs Re beta > 0 or beta = 0")
+    lam = lams.reshape((-1,) + (1,) * coeff.ndim)
+    # ln mu := 0 at mu = 0, where beta = 0 leaves lam^{pre - gamma}
+    log_mu = np.log(np.where(zero, 1.0, eigs)) if has_zero else np.log(eigs)
+    e = pre * np.log(lam) + beta * log_mu - gamma_exp * np.log(lam + eigs)
+    if has_zero and beta != 0:
+        e[..., zero] = -np.inf      # Re beta > 0: the zero modes contribute nothing
+    return np.exp(e) * coeff
+
+
+def _coordinates(handle: OperatorHandle, x: np.ndarray):
+    """(v, back): ``x`` in the coordinates an evaluator computes in, and the
+    map of its result back. With eigen-data these are the eigen-coordinates
+    (v = to_coeff(x), back = from_coeff), so an evaluation makes one
+    transform at entry and one at exit; otherwise ``x`` itself."""
+    s = handle.spectral
+    if s is None:
+        return x, lambda y: y
+    return s.to_coeff(x), s.from_coeff
+
+
+def _shifted_rows(handle: OperatorHandle, lams: np.ndarray, v: np.ndarray,
+                  companion: bool) -> np.ndarray:
+    """Rows (lam_i + A)^{-1} v, or A (lam_i + A)^{-1} v with ``companion``,
+    one per shift, in the coordinates of :func:`_coordinates`."""
+    s = handle.spectral
+    if s is not None:
+        eig = s.eigenvalues
+        return ((eig if companion else 1.0) / (lams[:, None] + eig)) * v
+    if companion:
+        return handle.l_compose_batch(lams, np.tile(v, (len(lams), 1)))
+    return handle.resolvent_many(lams, v)
 
 
 def _power_integrand(compose, a: complex, n: int, x: np.ndarray):
@@ -143,18 +183,17 @@ def frac_power(
     pref = balakrishnan_prefactor(a, n)
     lo, hi = handle.scales()
     s = handle.spectral
+    v, back = _coordinates(handle, x)
 
     if s is not None:
-        coeff = s.to_coeff(x)
-
         def integrand(lams: np.ndarray) -> np.ndarray:
-            return _log_multiplier_rows(s, lams, a, n, n, coeff)
+            return _log_multiplier_rows(s.eigenvalues, lams, a, n, n, v)
     else:
-        integrand = _power_integrand(handle.l_compose_batch, a, n, x)
+        integrand = _power_integrand(handle.l_compose_batch, a, n, v)
 
     val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=a.real, decay_hi=n - a.real)
-    result = pref * val
+    result = back(pref * val)
     return (result, diag) if with_diagnostics else result
 
 
@@ -270,19 +309,21 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x) -> np.ndarray:
         raise ValueError("lam must be a scalar or a 1-D array")
     if not np.all(lams > 0):
         raise ValueError("phi_apply needs lam > 0")
-    y = _weighted_rows(handle, 0.0, b, g, np.atleast_1d(lams), x)
+    v, back = _coordinates(handle, x)
+    y = back(_weighted_rows(handle, 0.0, b, g, np.atleast_1d(lams), v))
     return y[0] if lams.ndim == 0 else y
 
 
 def _weighted_rows(handle: OperatorHandle, pre: complex, b: complex, g: complex,
-                   lams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows (or blocks) lam_i^pre A^b (lam_i + A)^{-g} x: spectral multipliers
-    with eigen-data, else :func:`_contour_apply`."""
+                   lams: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows (or blocks) lam_i^pre A^b (lam_i + A)^{-g} v in the coordinates
+    of :func:`_coordinates`: multiplier rows with eigen-data, else
+    :func:`_contour_apply`."""
     s = handle.spectral
     if s is not None:
-        return _log_multiplier_rows(s, lams, pre, b, g, s.to_coeff(x))
-    rows = _contour_apply(handle, b, g, lams, x)
-    return rows if pre == 0 else _cpow(lams, pre).reshape((-1,) + (1,) * x.ndim) * rows
+        return _log_multiplier_rows(s.eigenvalues, lams, pre, b, g, v)
+    rows = _contour_apply(handle, b, g, lams, v)
+    return rows if pre == 0 else _cpow(lams, pre).reshape((-1,) + (1,) * v.ndim) * rows
 
 
 # --------------------------------------------------------------------------
@@ -314,14 +355,15 @@ def frac_power_unified(
         raise ValueError("Re z <= 0 needs an injective operator")
     pref = unified_prefactor(zc, a, b)
     lo, hi = handle.scales()
+    v, back = _coordinates(handle, x)
 
     def integrand(lams):
-        return _weighted_rows(handle, zc + a, b, a + b, lams, x)
+        return _weighted_rows(handle, zc + a, b, a + b, lams, v)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                       decay_lo=zc.real + a.real,
                                       decay_hi=b.real - zc.real)
-    return pref * val
+    return back(pref * val)
 
 
 # --------------------------------------------------------------------------
@@ -361,16 +403,15 @@ def frac_resolvent(
     pref = reciprocal_beta_prefactor(alpha).real
     cosa = math.cos(math.pi * alpha)
     lo, hi = handle.scales()
+    v, back = _coordinates(handle, x)
 
     def integrand(mus):
         denom = lam * lam + 2.0 * lam * mus ** alpha * cosa + mus ** (2 * alpha)
         if companion:
             kern = lam * mus ** alpha / denom
-            rows = handle.l_compose_batch(mus, np.tile(x, (len(mus), 1)))
         else:
             kern = mus ** (alpha + 1.0) / denom
-            rows = handle.resolvent_many(mus, x)
-        return kern[:, None] * rows
+        return kern[:, None] * _shifted_rows(handle, mus, v, companion)
 
     val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=alpha, decay_hi=alpha)
@@ -382,7 +423,7 @@ def frac_resolvent(
             f"frac_resolvent at alpha={alpha}: trapezoid error estimate "
             f"{discretization:.1e} exceeds {tail_tolerance:.1e} "
             f"(pole strip {strip:.2e}, node spacing {h:.2e})")
-    return pref * val
+    return back(pref * val)
 
 
 # --------------------------------------------------------------------------
@@ -401,13 +442,6 @@ def semigroup_apply(handle: OperatorHandle, t: float, x) -> np.ndarray:
         raise SemigroupUnavailableError(
             "semigroup action needs spectral data (dense matrix exponential is disabled)")
     return s.from_coeff(s.to_coeff(x) * np.exp(-t * s.eigenvalues))
-
-
-def _semigroup_rows(handle: OperatorHandle, ts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    s = handle.spectral
-    if s is None:
-        raise SemigroupUnavailableError("semigroup action needs spectral data")
-    return s.from_coeff(np.exp(-ts[:, None] * s.eigenvalues[None, :]) * s.to_coeff(x)[None, :])
 
 
 def frac_power_via_semigroup(
@@ -429,17 +463,16 @@ def frac_power_via_semigroup(
         raise SemigroupUnavailableError("semigroup route needs spectral data")
     lo, hi = handle.scales()
     pref = 1.0 / gamma(b - a)
-    coeff = s.to_coeff(x)
+    v, back = _coordinates(handle, x)
 
     def integrand(ts):
         mult = _cpow(ts[:, None] * s.eigenvalues[None, :], b) * \
             np.exp(-ts[:, None] * s.eigenvalues[None, :])
-        rows = s.from_coeff(mult * coeff[None, :])
-        return _cpow(ts, -a)[:, None] * rows
+        return _cpow(ts, -a)[:, None] * (mult * v[None, :])
 
     val, _ = integrate_multiplicative(integrand, 1.0 / hi, 1.0 / max(lo, 1e-300),
                                       tail_tolerance, decay_lo=b.real - a.real, decay_hi=1.0)
-    return pref * val
+    return back(pref * val)
 
 
 _SERIES_SWITCH = 0.5    # w^{-alpha} below which the stable density is a series
@@ -529,15 +562,17 @@ def subordinated_semigroup_via_kernel(handle: OperatorHandle, alpha: float, t: f
     x = _subordination_args(handle, alpha, t, x)
     if t == 0:
         return x.copy()
+    eig = handle.spectral.eigenvalues
+    v, back = _coordinates(handle, x)
 
     def integrand(ss):
-        kern = np.array([subordination_kernel(alpha, t, si) for si in ss])
-        return (kern * ss)[:, None] * _semigroup_rows(handle, ss, x)  # ds = s du
+        kern = np.array([subordination_kernel(alpha, t, si) for si in ss]) * ss   # ds = s du
+        return kern[:, None] * np.exp(-ss[:, None] * eig[None, :]) * v[None, :]
 
     center = t ** (1.0 / alpha)
     val, _ = integrate_multiplicative(integrand, center, center, tail_tolerance,
                                       decay_lo=1.0, decay_hi=alpha)
-    return val
+    return back(val)
 
 
 # --------------------------------------------------------------------------
@@ -627,9 +662,10 @@ def reproducing_residual(
     if x.ndim != 1:
         raise ValueError("reproducing_residual takes one vector (n,), not a block")
     lo, hi = handle.scales()
+    v, back = _coordinates(handle, x)
 
     def tail_integrand(ts):
-        return _weighted_rows(handle, a, complex(m), a + m, ts, x)
+        return _weighted_rows(handle, a, complex(m), a + m, ts, v)
 
     pref_tail = gamma(a + m) / (gamma(a) * gamma(m))
     if lam_cut == 0:
@@ -645,14 +681,15 @@ def reproducing_residual(
         val, _ = integrate_multiplicative(shifted, 1.0, max(hi / lam_cut, 1.0), tail_tolerance,
                                           decay_lo=1.0, decay_hi=m)
         y = pref_tail * val
-        w = lam_cut ** a * phi_apply(handle, 0.0, a, lam_cut, x)
-        boundary = np.zeros_like(x)
-        term = w
+        cut = np.array([lam_cut], dtype=float)
+        term = lam_cut ** a * _weighted_rows(handle, 0.0, 0.0, a, cut, v)[0]
+        boundary = np.zeros_like(v)
         for k in range(m):
             coeff = gamma(a + k) / (gamma(a) * gamma(k + 1))
             boundary = boundary + coeff * term
             if k + 1 < m:
-                term = handle.l_compose_batch(np.array([lam_cut]), term[None, :])[0]
+                term = _shifted_rows(handle, cut, term, True)[0]
         y = y + boundary
+    y = back(y)
     return float(np.linalg.norm(x - y) / max(np.linalg.norm(x), 1e-300))
 

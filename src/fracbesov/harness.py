@@ -20,7 +20,8 @@ sample loop and its counts:
 
 ``cos_estimate`` (``grid_verification``) loops over nine alphas itself. A
 failure record is the case's context with its ``sample`` and ``excess``, and
-a report's ``max_violation`` is the largest excess, 0.0 when nothing fails.
+a report's ``max_violation`` is the largest excess, 0.0 when nothing fails
+and inf when an excess is NaN (a NaN is never within its bound).
 
 Six checks range over a BesovIndex grid that the caller may replace:
 ``k_independence``, ``alpha_independence``, ``full_independence``,
@@ -380,8 +381,9 @@ def _ratio_runner(pairs):
 def _bound_runner(cases):
     """Runner of a bound check: ``cases(sample, backend, tol)`` yields one
     ``(excess, allowed, context)`` per case, or None for a degenerate case.
-    A case whose excess is above the allowed amount is a violation, recorded
-    as ``{"sample": i, "excess": excess, **context}``."""
+    A case whose excess is not at or below the allowed amount (a NaN excess
+    included) is a violation, recorded as
+    ``{"sample": i, "excess": excess, **context}``."""
     def run(samples, backend, tol, grid):
         out = CheckOutcome()
         for i, s in enumerate(samples):
@@ -389,7 +391,7 @@ def _bound_runner(cases):
             for case in cases(s, backend, tol):
                 if case is None:
                     out.degenerate += 1
-                elif case[0] > case[1]:
+                elif not case[0] <= case[1]:
                     out.violations.append({"sample": i, "excess": case[0], **case[2]})
         return out
     return run
@@ -542,15 +544,16 @@ def _run_domain_sandwich(s, backend, tol):
     n_x = float(np.linalg.norm(s.x))
     c0 = composition_bound_constant(alpha, n_w) * \
         composition_bound_constant(beta - alpha, m_w) * m_const ** n_w * l_const ** m_w
+    # the reverse side's q-independent constants
+    g_pref = abs(gamma(beta) / (gamma(alpha) * gamma(beta - alpha)))
+    c_b = composition_bound_constant(beta, m_b)
+    c_rd = c_b * (l_const + m_const) ** m_b * (l_const + m_const + 1.0) ** m_b
     for q in (0.5, 1.0, 2.0, math.inf):
         lhs = backend.sum_part(s, BesovIndex(s_lo, q, 0, 0.0, beta))
         geom = 1.0 if math.isinf(q) else (1.0 / (1.0 - 2.0 ** ((s_lo - alpha) * q))) ** (1.0 / q)
         yield _above(lhs, c0 * geom * n_ax, tol.exact_slack, q=q, side="upper")
         # reverse side: ||A^a x|| against the s_hi sum part
         sp = backend.sum_part(s, BesovIndex(s_hi, q, 0, 0.0, beta))
-        g_pref = abs(gamma(beta) / (gamma(alpha) * gamma(beta - alpha)))
-        c_rd = composition_bound_constant(beta, m_b) * \
-            (l_const + m_const) ** m_b * (l_const + m_const + 1.0) ** m_b
         if math.isinf(q):
             hold = 1.0 / (1.0 - 2.0 ** (alpha - s_hi))
         elif q <= 1.0:
@@ -558,7 +561,7 @@ def _run_domain_sandwich(s, backend, tol):
         else:
             qp = q / (q - 1.0)
             hold = (1.0 / (1.0 - 2.0 ** ((alpha - s_hi) * qp))) ** (1.0 / qp)
-        bound2 = g_pref * (composition_bound_constant(beta, m_b) * l_const ** m_b / alpha * n_x
+        bound2 = g_pref * (c_b * l_const ** m_b / alpha * n_x
                            + math.log(2.0) * 2.0 ** alpha * c_rd * hold * sp)
         yield _above(n_ax, bound2, tol.exact_slack, q=q, side="lower")
 
@@ -641,7 +644,7 @@ def _run_cos_estimate(samples, backend, tol, grid):
         f_u = 1.0 + 2.0 * us * cosa + us * us
         viol = f_u - k_alpha * f_t[:, None]
         worst = float(viol.max())
-        if worst > tol.exact_slack * float(np.abs(k_alpha * f_t).max()):
+        if not worst <= tol.exact_slack * float(np.abs(k_alpha * f_t).max()):
             out.violations.append({"sample": a10, "alpha": alpha, "excess": worst})
     return out
 
@@ -1014,7 +1017,9 @@ def run_check(
     elif outcome.samples == 0:
         verdict = "degenerate"
 
-    max_violation = max((float(v["excess"]) for v in outcome.violations), default=0.0)
+    excesses = [float(v["excess"]) for v in outcome.violations]
+    # a NaN excess is the worst violation, whatever the order of the cases
+    max_violation = math.inf if any(map(math.isnan, excesses)) else max(excesses, default=0.0)
     cfg = {"check_id": check_id, "seed": seed, "ensembles": [asdict(s) for s in specs]}
     return EquivalenceReport(
         check_id=check_id, kind=cd.kind, statement=cd.statement,

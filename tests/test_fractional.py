@@ -532,3 +532,115 @@ def test_moment_inequality_sample():
         rhs = moment_constant(a, n_w, 1.0) * \
             np.linalg.norm(y) ** (a / n_w) * np.linalg.norm(x) ** (1 - a / n_w)
         assert lhs <= rhs * (1 + 1e-9)
+
+
+# ------------------------------------------------------ eigen-coordinates ----
+
+def _counted_spd(n=8):
+    """An SPD handle whose eigen-transform pair counts its calls."""
+    from fracbesov.operators import SpectralData
+    q, _ = np.linalg.qr(np.random.default_rng(40).normal(size=(n, n)))
+    calls = {"to": 0, "from": 0}
+
+    def to(x):
+        calls["to"] += 1
+        return np.asarray(x, dtype=complex) @ q
+
+    def fr(c):
+        calls["from"] += 1
+        return np.asarray(c, dtype=complex) @ q.T
+
+    sd = SpectralData(np.geomspace(0.3, 30.0, n), to, fr)
+    return OperatorHandle("dense", n, spectral=sd), calls
+
+
+_X8 = np.random.default_rng(41).normal(size=8) + 0j
+_BLOCK8 = np.random.default_rng(42).normal(size=(3, 8)) + 0j
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda h: frac_power(h, 0.6, _X8),
+    lambda h: frac_power(h, 1.4, _BLOCK8),
+    lambda h: frac_power_unified(h, 0.3, 0.5, 1.0, _X8),
+    lambda h: frac_resolvent(h, 0.5, 2.0, _X8),
+    lambda h: frac_resolvent(h, 0.5, 2.0, _X8, companion=True),
+    lambda h: reproducing_residual(h, 0.7, 2, 0.0, _X8),
+    lambda h: reproducing_residual(h, 0.7, 2, 1.3, _X8),
+    lambda h: frac_power_via_semigroup(h, 0.4, 1.0, _X8),
+    lambda h: subordinated_semigroup_via_kernel(h, 0.5, 0.3, _X8),
+    lambda h: phi_apply(h, 0.6, 1.3, np.array([0.5, 2.0, 9.0]), _BLOCK8),
+], ids=["frac_power", "frac_power_block", "unified", "resolvent", "resolvent_companion",
+        "reproducing_full_line", "reproducing_cut", "via_semigroup", "subordinated_kernel",
+        "phi_apply"])
+def test_one_eigen_transform_each_way_per_evaluation(evaluate):
+    h, calls = _counted_spd()
+    evaluate(h)
+    assert calls == {"to": 1, "from": 1}
+
+
+def test_evaluators_on_the_counted_handle_match_the_spectral_oracle():
+    h, _ = _counted_spd()
+    want = spectral_frac_power(h, 0.6, _X8)
+    assert np.linalg.norm(frac_power(h, 0.6, _X8) - want) <= 1e-8 * np.linalg.norm(want)
+    want = spectral_frac_power(h, 0.3, _BLOCK8)
+    got = frac_power_unified(h, 0.3, 0.5, 1.0, _BLOCK8)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    for lam_cut in (0.0, 1.3):
+        assert reproducing_residual(h, 0.7, 2, lam_cut, _X8) <= 1e-8
+
+
+_EIGS = np.geomspace(1e-2, 1e3, 7)
+_LAMS = np.geomspace(1e-3, 1e4, 9)
+
+
+def _coeffs(shape):
+    rng = np.random.default_rng(43)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _closed_form(eigs, pre, beta, g, coeff):
+    lam = _LAMS.reshape((-1,) + (1,) * coeff.ndim)
+    return lam ** pre * eigs ** beta * (lam + eigs) ** (-g) * coeff
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7)], ids=["vector", "block"])
+@pytest.mark.parametrize("pre, beta, g", [(0.7, 0.4, 1.3), (-0.6, 2.0, 2.0), (1.3, 0.0, 0.5)])
+def test_real_multiplier_rows_match_the_closed_form_and_the_complex_path(shape, pre, beta, g):
+    from fracbesov.fractional import _log_multiplier_rows, _multiplier_rows
+    coeff = _coeffs(shape)
+    got = _log_multiplier_rows(_EIGS, _LAMS, pre, beta, g, coeff)
+    want = _closed_form(_EIGS, pre, beta, g, coeff)
+    assert got.shape == (len(_LAMS),) + shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    cpx = _multiplier_rows(_EIGS, _LAMS, complex(pre), complex(beta), complex(g), coeff)
+    assert np.all(np.abs(got - cpx) <= 1e-14 * np.abs(cpx))
+    # complex exponents with zero imaginary parts take the real path
+    assert np.array_equal(_log_multiplier_rows(_EIGS, _LAMS, complex(pre), beta, g, coeff), got)
+    # real exponents give real weights: a real coefficient vector stays real
+    assert _log_multiplier_rows(_EIGS, _LAMS, pre, beta, g, coeff.real).dtype == np.float64
+    assert _log_multiplier_rows(_EIGS, _LAMS, pre + 0.1j, beta, g, coeff.real).dtype == complex
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["vector", "block"])
+@pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
+def test_multiplier_rows_on_a_spectrum_with_zero(shape, imag):
+    from fracbesov.fractional import _log_multiplier_rows
+    eigs = np.array([0.0, 0.5, 0.0, 2.0, 7.0])
+    pos = eigs > 0
+    coeff = _coeffs(shape)
+    lam = _LAMS.reshape((-1,) + (1,) * coeff.ndim)
+    pre, g = 0.4 + imag * 1j, 1.1
+    # beta = 0: the zero modes keep lam^{pre - gamma}
+    got = _log_multiplier_rows(eigs, _LAMS, pre, 0.0, g, coeff)
+    want = lam ** pre * (lam + eigs) ** (-g) * coeff
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    # Re beta > 0: the zero modes contribute nothing
+    beta = 0.8 + imag * 1j
+    got = _log_multiplier_rows(eigs, _LAMS, pre, beta, g, coeff)
+    assert np.all(got[..., ~pos] == 0)
+    want = lam ** pre * eigs[pos] ** beta * (lam + eigs[pos]) ** (-g) * coeff[..., pos]
+    assert np.all(np.abs(got[..., pos] - want) <= 1e-14 * np.abs(want))
+    # any other beta has no value at mu = 0
+    for beta in (-0.5, -0.5 + imag * 1j, 1j):
+        with pytest.raises(ValueError, match="zero eigenvalue"):
+            _log_multiplier_rows(eigs, _LAMS, pre, beta, g, coeff)

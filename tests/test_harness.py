@@ -185,6 +185,31 @@ def test_max_violation_reads_every_failure_record(monkeypatch):
     assert rep.max_violation == max(f["excess"] for f in rep.failures)
 
 
+def test_a_nan_excess_is_a_violation(monkeypatch):
+    # NaN blocks make every embed_q excess NaN, which is never within its bound
+    from fracbesov import harness
+    monkeypatch.setattr(harness, "dyadic_blocks",
+                        lambda handle, js, ix, x: np.full(len(js), np.nan))
+    rep = run_check("embed_q", None, None, None, harness.DEFAULT_SEED, 2)
+    assert (rep.verdict, rep.samples, rep.violations) == ("fail", 2, 6)
+    assert all(math.isnan(f["excess"]) for f in rep.failures)
+    assert rep.max_violation == math.inf
+
+
+def test_max_violation_is_inf_for_a_nan_excess_wherever_it_falls(monkeypatch):
+    # only the (2, inf) case of each sample has a NaN excess; the other cases
+    # fail by their ordinary, finite amounts
+    from fracbesov import harness
+    aggregate = harness._lq_aggregate
+    monkeypatch.setattr(harness, "_lq_aggregate", lambda blocks, q:
+                        math.nan if math.isinf(q) else aggregate(blocks, q))
+    rep = run_check("embed_q", tolerance_profile=ToleranceProfile(exact_slack=-1),
+                    count_override=2)
+    assert (rep.verdict, rep.violations) == ("fail", 6)
+    assert sum(math.isnan(f["excess"]) for f in rep.failures) == 2
+    assert rep.max_violation == math.inf
+
+
 def test_tolerance_profile_propagates():
     tol = ToleranceProfile(ratio_safety=1e6)
     rep = run_check("translation", tolerance_profile=tol)
