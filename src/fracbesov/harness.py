@@ -727,7 +727,6 @@ def _composite_norms(handle, a: complex, lams: np.ndarray, kind: str,
 def _run_moment(s, backend, tol):
     handle = s.handle
     m_const = handle.constants()[0]
-    slack = tol.exact_slack if handle.spectral is not None else 1e-6
     n_w = int(s.rng.integers(1, 4))
     a = float(s.rng.uniform(0.1, n_w - 0.1))
     ax = power_apply(handle, a, s.x)
@@ -737,7 +736,7 @@ def _run_moment(s, backend, tol):
     c_bound = moment_constant(a, n_w, m_const)
     rhs = c_bound * np.linalg.norm(y) ** (a / n_w) * \
         np.linalg.norm(s.x) ** (1.0 - a / n_w)
-    yield _above(float(np.linalg.norm(ax)), rhs, slack, alpha=a, n=n_w)
+    yield _above(float(np.linalg.norm(ax)), rhs, tol.exact_slack, alpha=a, n=n_w)
 
 
 @_bound_runner

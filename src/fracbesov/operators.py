@@ -11,12 +11,15 @@ Supported kinds: diagonal, dense, torus_laplacian, shifted, inverse and
 frac_power (real exponent). A handle with eigen-data acts by multipliers; a
 handle without is its matrix, which the composite kinds compute at
 construction (base + eps I, the inverse of the base, and the Balakrishnan
-power of the base), and solves through one complex Schur factorization.
-Handles are immutable after construction and all operations are pure.
+power of the base), and solves through one complex Schur factorization,
+computed with numpy alone (:func:`_complex_schur`); a shifted handle takes
+its base's factor with the shift on the diagonal. Handles are immutable
+after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -30,6 +33,8 @@ _INJECTIVITY_RTOL = 1e-10
 _LAMBDA_GRID_POINTS = 61      # of the grid estimates of M_A and L_A
 _LEVEL_SET_RTOL = 1e-12       # stop once no test point beats the level by more
 _LEVEL_SET_CAP = 60           # iterations before the sup is declared unbounded
+_SCHUR_SWEEP_CAP = 30         # QR sweeps per eigenvalue before the Schur factor gives up
+_SCHUR_EXCEPTIONAL_EVERY = 10  # sweeps without a deflation between exceptional shifts
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +114,7 @@ class OperatorHandle:
     kind: str
     dim: int
 
-    def __init__(self, kind, dim, *, spectral=None, matrix=None):
+    def __init__(self, kind, dim, *, spectral=None, matrix=None, schur=None):
         self.kind = kind
         self.dim = dim
         self.spectral = spectral
@@ -117,7 +122,7 @@ class OperatorHandle:
         self._constants_cache: dict = {}
         self._scale_cache: Optional[tuple[float, float]] = None
         self._singular_values: Optional[np.ndarray] = None
-        self._schur_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._schur_cache: Optional[tuple[np.ndarray, np.ndarray]] = schur
 
     # ---- constructors ----
 
@@ -190,8 +195,11 @@ class OperatorHandle:
             raise ValueError("shift must be >= 0")
         s = base.spectral
         if s is None:
-            return OperatorHandle("shifted", base.dim,
-                                  matrix=base.matrix() + float(eps) * np.eye(base.dim))
+            # base + eps I = Z (T + eps I) Z^H: the base's factor serves
+            shift = float(eps) * np.eye(base.dim)
+            z, t = base._schur()
+            return OperatorHandle("shifted", base.dim, matrix=base.matrix() + shift,
+                                  schur=(z, t + shift))
         spectral = SpectralData(s.eigenvalues + eps, s.to_coeff, s.from_coeff)
         return OperatorHandle("shifted", base.dim, spectral=spectral)
 
@@ -292,12 +300,10 @@ class OperatorHandle:
 
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Complex Schur factors (Z, T) of the matrix, A = Z T Z^H with Z
-        unitary and T upper triangular; computed once per handle."""
+        unitary and T upper triangular (:func:`_complex_schur`); computed
+        once per handle."""
         if self._schur_cache is None:
-            from scipy.linalg import schur
-
-            t, z = schur(self.matrix(), output="complex")
-            self._schur_cache = (z, t)
+            self._schur_cache = _complex_schur(self.matrix())
         return self._schur_cache
 
     def matrix(self) -> np.ndarray:
@@ -358,6 +364,53 @@ class OperatorHandle:
 
     def __repr__(self):
         return f"OperatorHandle(kind={self.kind!r}, dim={self.dim})"
+
+
+def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur factors (Z, T) of the square matrix ``a``: A = Z T Z^H,
+    Z unitary, T upper triangular, with numpy alone.
+
+    Z starts as the unitary QR factor of the eigenvectors, so T = Z^H A Z is
+    upper triangular up to rounding magnified by the eigenvectors'
+    condition. Rows deflate from the last one up: row k deflates once the
+    norm of its part below the diagonal is at most n eps ||A||_F. Until it
+    does, Wilkinson-shifted QR sweeps run on the leading (k+1) x (k+1)
+    block, updating Z and the block's coupling to the deflated rows, with an
+    exceptional shift after every _SCHUR_EXCEPTIONAL_EVERY sweeps without a
+    deflation. Well-conditioned eigenvectors, as of every upper-triangular
+    matrix, need no sweep; defective or nearly defective matrices do. Past
+    _SCHUR_SWEEP_CAP sweeps per eigenvalue it raises LinAlgError rather than
+    return an unconverged factor. The deflated parts below the diagonal are
+    then set to zero, a backward error of at most n^1.5 eps ||A||_F."""
+    a = np.asarray(a, dtype=complex)
+    n = len(a)
+    tol = n * np.finfo(float).eps * np.linalg.norm(a)
+    z = np.linalg.qr(np.linalg.eig(a)[1])[0]
+    t = z.conj().T @ a @ z
+    k = n - 1 if np.linalg.norm(np.tril(t, -1)) > tol else 0
+    sweeps = stall = 0
+    while k > 0:
+        if np.linalg.norm(t[k, :k]) <= tol:
+            k, stall = k - 1, 0
+            continue
+        if sweeps == _SCHUR_SWEEP_CAP * n:
+            raise np.linalg.LinAlgError(f"Schur factor: no convergence in {sweeps} QR sweeps")
+        sweeps, stall = sweeps + 1, stall + 1
+        if stall % _SCHUR_EXCEPTIONAL_EVERY == 0:
+            shift = t[k, k] + 0.75 * np.linalg.norm(t[k, :k])
+        else:   # the eigenvalue of the trailing 2 x 2 nearer t[k, k]
+            p, q, r, s = (complex(v) for v in t[k - 1:k + 1, k - 1:k + 1].ravel())
+            h = 0.5 * (p - s)
+            d = cmath.sqrt(h * h + q * r)
+            den = h + d if abs(h + d) >= abs(h - d) else h - d
+            shift = s - q * r / den if den else s
+        m = k + 1
+        eye = np.eye(m)
+        qm, rm = np.linalg.qr(t[:m, :m] - shift * eye)
+        t[:m, :m] = rm @ qm + shift * eye
+        t[:m, m:] = qm.conj().T @ t[:m, m:]
+        z[:, :m] = z[:, :m] @ qm
+    return z, np.triu(t)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Brute-force reference evaluations for diagonal spectra.
 
-Everything here is plain scalar arithmetic with long direct sums and dense
-grids: no tail models, no operator handles, no shared code with the
-production evaluators. These are the oracles used to calibrate the
-equivalence-ratio ceilings and to pin expected values in tests.
+Everything here is plain scalar arithmetic with long direct sums, dense
+grids and, for the continuous integral at q = 2, a closed form in the
+incomplete beta function: no tail models, no operator handles, no shared
+code with the production evaluators. These are the oracles used to
+calibrate the equivalence-ratio ceilings and to pin expected values in
+tests.
 
 The level sums work with the logs of their terms: each block is a
 log-sum-exp over the eigen-terms and the l_q aggregate a logaddexp over the
@@ -22,6 +24,7 @@ import math
 import numpy as np
 
 _J_SPAN = 500
+_SCAN_CHUNK = 256     # grid nodes per step of the q = inf profile scan
 
 
 def _log_terms(eigs, absx2, re_b):
@@ -110,24 +113,53 @@ def breve_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0) -> float:
 
 
 def continuous_sum_part(eigs, x, s, q, k, alpha, beta, du=2e-3) -> float:
-    """Dense-trapezoid continuous profile integral from 2^k upward.
+    """Continuous profile integral from 2^k upward.
 
     The profile is taken as e^{-(beta - s) u} ||A^beta (1 + e^{-u} A)^{-alpha-beta} x||,
-    which cannot underflow at large u. Past the cut it equals
-    ||A^beta x|| e^{-(beta - s) u} to within a factor 1 + O(max(eigs) e^{-u}),
-    so for finite q the integral beyond the last node is closed-form:
-    g^q / (q (beta - s)) at that node."""
+    which cannot underflow at large u. At q = 2 the integral is closed-form:
+    each eigen-term is |x_j|^2 mu_j^{2s} B(2(s+alpha), 2(beta-s)) times the
+    regularized incomplete beta function I_{mu_j/(2^k+mu_j)}(2(beta-s), 2(s+alpha)).
+    Otherwise a dense trapezoid grid runs from 2^k upward. Past its cut the
+    profile equals ||A^beta x|| e^{-(beta - s) u} to within a factor
+    1 + O(max(eigs) e^{-u}), so for finite q the integral beyond the last
+    node is closed-form: g^q / (q (beta - s)) at that node. At q = inf the
+    grid is scanned in chunks from the left and the scan stops once
+    e^{-(beta - s) u} ||A^beta x||, a bound on the profile from u on (for
+    alpha + beta >= 0), falls below the largest node value so far; the
+    result is the full scan's maximum."""
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
     gap = re_b - s
+    if q == 2:
+        from scipy.special import beta as beta_fn, betainc
+
+        a, b = 2.0 * (s + re_a), 2.0 * gap
+        pos = eigs > 0
+        mu = eigs[pos]
+        total = float((absx2[pos] * mu ** (2 * s)).dot(betainc(b, a, mu / (2.0 ** k + mu))))
+        total *= beta_fn(a, b)
+        if re_b == 0:   # a zero eigenvalue's term is |x_j|^2 e^{-2 (beta - s) u} (0^0 = 1)
+            total += float(absx2[~pos].sum()) * 2.0 ** (-k * b) / b
+        return math.sqrt(total)
     top = math.log(max(eigs.max(initial=1.0), 1.0)) + 60.0 / max(gap, 0.25)
     us = np.arange(k * math.log(2.0), top, du)
-    prof2 = ((1.0 + np.exp(-us)[:, None] * eigs) ** (-2 * (re_a + re_b))
-             * (eigs ** (2 * re_b) * absx2)).sum(axis=1)
-    g = np.exp(-us * gap) * np.sqrt(prof2)
+    weights = eigs ** (2 * re_b) * absx2
+
+    def profile(u):
+        prof2 = ((1.0 + np.exp(-u)[:, None] * eigs) ** (-2 * (re_a + re_b)) * weights).sum(axis=1)
+        return np.exp(-u * gap) * np.sqrt(prof2)
+
     if math.isinf(q):
-        return float(g.max(initial=0.0))
+        # the bound carries a margin for the rounding of its own sum and exp
+        bound = math.sqrt(float(weights.sum())) * (1.0 + 1e-12)
+        best = 0.0
+        for lo in range(0, len(us), _SCAN_CHUNK):
+            if math.exp(-gap * us[lo]) * bound < best:
+                break
+            best = max(best, float(profile(us[lo:lo + _SCAN_CHUNK]).max()))
+        return best
+    g = profile(us)
     remainder = g[-1] ** q / (q * gap)
     return float((np.trapezoid(g ** q, us) + remainder) ** (1.0 / q))
 

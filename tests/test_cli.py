@@ -372,6 +372,9 @@ def test_csv_verify_format(tmp_path):
 
 # ------------------------------------------------------------------ imports ----
 
+_NONNORMAL = "dense [[0.5,0.4,-0.3,0.2],[0,1.2,0.4,0.1],[0,0,2.5,-0.4],[0,0,0,4]]"
+
+
 @pytest.mark.parametrize("config", [
     {"command": "norm", "operator": "torus_laplacian n=8",
      "vector": [1, 0, 2, 0, 1, 0, 0, 1], "s": 0.5, "q": 2, "beta": 1,
@@ -384,10 +387,16 @@ def test_csv_verify_format(tmp_path):
     # real Gamma factors come from math.gamma
     {"command": "power", "operator": "diagonal [0.5,1,4]", "vector": [1, 1, 1],
      "exponent": 1.3},
-], ids=["norm", "kfun", "power"])
+    # a matrix without eigen-data: the Schur factor is numpy's own
+    {"command": "power", "operator": _NONNORMAL, "vector": [1, -1, 2, 0.5],
+     "exponent": 1.3},
+    {"command": "norm", "operator": _NONNORMAL, "vector": [1, -1, 2, 0.5],
+     "s": 0.4, "q": 2, "k": 0, "alpha": 0, "beta": 1, "variant": "inhomogeneous"},
+], ids=["norm", "kfun", "power", "nonnormal_power", "nonnormal_norm"])
 def test_spectral_command_imports_only_its_route(config):
     # scipy is imported inside the functions that call it and the harness
-    # only by verify, so a spectral command loads neither
+    # only by verify, so a spectral command, or a power or norm on a
+    # non-normal matrix, loads neither
     script = ("import sys\n"
               "import fracbesov, fracbesov.cli\n"
               f"assert fracbesov.cli.main(['--config', {json.dumps(config)!r}]) == 0\n"

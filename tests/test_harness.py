@@ -222,14 +222,13 @@ FORCED_FAILURES = {
     "embed_q": (2, 6, 0), "embed_s": (2, 12, 0), "inverse_breve": (4, 8, 0),
     "inverse_homog": (4, 8, 0), "domain_sandwich": (2, 16, 0), "denseness": (2, 4, 0),
     "ergodicity": (2, 16, 0), "cos_estimate": (9, 9, 0), "uniform_bounds": (4, 456, 0),
-    "moment": (6, 4, 0), "spectral_map": (5, 15, 0),
+    "moment": (6, 6, 0), "spectral_map": (5, 15, 0),
 }
 
 
 def test_forced_failure_records_are_pinned(monkeypatch):
-    # a slack of -1 fails every case whose value is positive; moment keeps its
-    # fixed 1e-6 slack on the two non-normal samples, which pass. denseness has
-    # fixed thresholds, so its approximants are zeroed instead
+    # a slack of -1 fails every case whose value is positive, on every sample
+    # kind. denseness has fixed thresholds, so its approximants are zeroed instead
     from fracbesov import harness
     tol = ToleranceProfile(exact_slack=-1, identity_slack=-1, spectral_map_slack=-1,
                            limit_tol=-1)
@@ -251,4 +250,4 @@ def test_forced_failure_records_are_pinned(monkeypatch):
         assert rep.max_violation == max(v["excess"] for v in outcomes[0].violations)
         records.append([cid, [[f["sample"], sorted(f)] for f in rep.failures]])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "d6bd8c19f233c00c88ce083db5320643e213de94565b518f8f14d40a86427fc6", records
+    assert digest == "c88cbc6c8cce39d815e6af3a9f848b725320fa85844791bcb285dc753b6468ec", records

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbesov import operators
 from fracbesov.operators import (
     EUCLIDEAN,
     NormKind,
@@ -193,6 +194,101 @@ def test_singular_values_computed_once(monkeypatch):
     assert len(calls) == 1
     sv = svd(h.matrix(), compute_uv=False)
     assert (lo, hi) == (sv.min(), sv.max())
+
+
+# ------------------------------------------------------------ Schur factor ----
+
+_EPS = np.finfo(float).eps
+
+
+def _schur_families():
+    """The structured families, then random ones, n <= 64, one param each."""
+    rng = _rng(31)
+    out = []
+    for n in (1, 2, 3, 6, 17, 64):
+        jordan = 2.0 * np.eye(n) + np.eye(n, k=1)
+        grcar = sum(np.eye(n, k=j) for j in range(4)) - np.eye(n, k=-1)
+        c, s = 0.3, math.sqrt(1 - 0.09)
+        kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        companion = np.eye(n, k=-1)
+        companion[0] = rng.normal(size=n)
+        rates = rng.uniform(size=(n, n))
+        np.fill_diagonal(rates, 0.0)
+        decades = np.diag(np.logspace(-8, 8, n)) + np.triu(rng.normal(size=(n, n)), 1)
+        family = {"jordan": jordan, "nilpotent_jordan": np.eye(n, k=1), "grcar": grcar,
+                  "kahan": kahan, "companion": companion,
+                  "cyclic": np.roll(np.eye(n), 1, axis=0),
+                  "markov": np.diag(rates.sum(axis=1)) - rates, "decades": decades,
+                  "random": rng.normal(size=(n, n)),
+                  "complex": rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))}
+        out += [pytest.param(a, id=f"{name}{n}") for name, a in family.items()]
+    return out
+
+
+def _check_schur(a, z, t):
+    n = len(a)
+    scale = np.linalg.norm(a)
+    assert np.linalg.norm(a - z @ t @ z.conj().T) <= 10 * n * _EPS * scale
+    assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 10 * n * _EPS
+    assert not np.tril(t, -1).any()
+
+
+@pytest.mark.parametrize("a", _schur_families())
+def test_schur_factor_battery(a):
+    a = np.asarray(a, dtype=complex)
+    z, t = operators._complex_schur(a)
+    _check_schur(a, z, t)
+    # the diagonal is the spectrum: matched greedily against eigvals, within
+    # 1e-6 ||A||_F (the Grcar eigenvalues at n = 64 move by 4e-8 between the two)
+    want = list(np.linalg.eigvals(a))
+    for d in np.diag(t):
+        i = int(np.argmin(np.abs(np.asarray(want) - d)))
+        assert abs(want.pop(i) - d) <= 1e-6 * max(np.linalg.norm(a), 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 16, 64])
+def test_schur_factor_on_defective_matrices_runs_qr_sweeps(n, monkeypatch):
+    # a Jordan block in a random unitary basis: the eigenvectors are nearly
+    # parallel, so T = Z^H A Z starts far from triangular and the sweeps run
+    rng = _rng(32)
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    qrs = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda m: qrs.append(1) or qr(m))
+    for jordan in (2.0 * np.eye(n) + np.eye(n, k=1), np.eye(n, k=1)):
+        a = u @ jordan @ u.conj().T
+        z, t = operators._complex_schur(a)
+        _check_schur(a, z, t)
+        # the eigenvalue is only fixed to about (n eps ||A||)^(1/n); the trace is exact
+        assert abs(np.trace(t) - np.trace(a)) <= 10 * n * n * _EPS * np.linalg.norm(a)
+    assert len(qrs) > 2         # more than the two eigenvector QRs: sweeps ran
+
+
+def test_schur_factor_raises_past_its_sweep_cap(monkeypatch):
+    # QR sweeps that leave T as it is never deflate: past its cap of 30
+    # sweeps per eigenvalue the factor raises instead of returning
+    n = 4
+    u = np.linalg.qr(_rng(33).normal(size=(n, n)))[0]
+    qrs = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda m: qrs.append(1) or
+                        (qr(m) if len(qrs) == 1 else (np.eye(len(m)), m)))
+    with pytest.raises(np.linalg.LinAlgError, match="120 QR sweeps"):
+        operators._complex_schur(u @ np.eye(n, k=1) @ u.T)
+    assert len(qrs) == 1 + 30 * n
+
+
+def test_shifted_takes_the_base_schur_factor(monkeypatch):
+    calls = []
+    factor = operators._complex_schur
+    monkeypatch.setattr(operators, "_complex_schur", lambda a: calls.append(1) or factor(a))
+    base = OperatorHandle.dense(_complex_pair_nonnormal())
+    z, t = base._schur()
+    shifted = OperatorHandle.shifted(OperatorHandle.shifted(base, 0.7), 0.2)
+    zs, ts = shifted._schur()
+    assert len(calls) == 1
+    assert zs is z and np.array_equal(ts, t + 0.7 * np.eye(5) + 0.2 * np.eye(5))
+    _check_schur(shifted.matrix(), zs, ts)
 
 
 # ----------------------------------------------------- derived structure ----

@@ -1,5 +1,6 @@
 """The brute-force interpolation oracle's lower-envelope scan against the
-dense lines x t-grid minimum it replaces."""
+dense lines x t-grid minimum it replaces, and the continuous oracle's q = 2
+closed form and cut q = inf scan against quadrature and the full scan."""
 
 import math
 import zlib
@@ -106,3 +107,52 @@ def test_interpolation_norm_on_the_calibration_draws():
 def test_interpolation_norm_is_zero_when_the_seminorm_vanishes(eigs, x, q):
     # A^alpha x = 0 lets x1 = x cost nothing, so K(t, x) = 0 at every t
     assert ref.interpolation_norm(eigs, x, 0.8, 0.4, q) == 0.0
+
+
+def _continuous_cases(count, seed, n_max):
+    """(eigs, x, s, k, alpha, beta) draws of admissible continuous indices,
+    some with a zero eigenvalue and some with beta = 0."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        eigs = np.exp(rng.uniform(-5.0, 7.0, n))
+        if case % 4 == 0:
+            eigs[0] = 0.0
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        alpha = float(rng.uniform(0.1, 1.5))
+        beta = 0.0 if case % 5 == 3 else float(rng.uniform(0.3, 2.5))
+        s = float(rng.uniform(-alpha + 0.02, beta - 0.02))
+        yield eigs, x, s, int(rng.integers(-3, 4)), alpha, beta
+
+
+def test_continuous_sum_part_closed_form_at_q2():
+    # the q = 2 integral per eigen-term, by quadrature in the log-parameter u
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for eigs, x, s, k, alpha, beta in _continuous_cases(12, 40, 4):
+            terms = [(mpmath.mpf(float(m)), mpmath.mpf(float(abs(c)) ** 2))
+                     for m, c in zip(eigs, x) if m > 0 or beta == 0]
+
+            def integrand(u):
+                return mpmath.exp(-2 * (beta - s) * u) * mpmath.fsum(
+                    c * (m ** (2 * beta) if m else 1) * (1 + mpmath.exp(-u) * m) ** (-2 * (alpha + beta))
+                    for m, c in terms)
+
+            u0 = k * mpmath.log(2)
+            breaks = sorted({u0} | {mpmath.log(m) for m, _ in terms if m and mpmath.log(m) > u0})
+            want = float(mpmath.sqrt(mpmath.quad(integrand, breaks + [mpmath.inf])))
+            got = ref.continuous_sum_part(eigs, x, s, 2.0, k, alpha, beta)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_continuous_sum_part_cut_scan_is_the_full_scan():
+    # the q = inf scan stops early; its maximum is the full grid's, bit for bit
+    for eigs, x, s, k, alpha, beta in _continuous_cases(60, 41, 32):
+        absx2 = np.abs(x) ** 2
+        gap = beta - s
+        top = math.log(max(eigs.max(initial=1.0), 1.0)) + 60.0 / max(gap, 0.25)
+        us = np.arange(k * math.log(2.0), top, 2e-3)
+        prof2 = ((1.0 + np.exp(-us)[:, None] * eigs) ** (-2 * (alpha + beta))
+                 * (eigs ** (2 * beta) * absx2)).sum(axis=1)
+        full = float((np.exp(-us * gap) * np.sqrt(prof2)).max(initial=0.0))
+        assert ref.continuous_sum_part(eigs, x, s, math.inf, k, alpha, beta) == full
