@@ -9,6 +9,15 @@ aggregated in l_q over a level range: j >= k (inhomogeneous), all of Z
 or replaced by a semigroup block 2^{j(s-beta)} A^beta e^{-2^{-j} A} x. The
 continuous-parameter version integrates the same profile in t.
 
+On a handle with eigen-data, in the euclidean norm, every norm an evaluation
+takes comes from the coefficient energies p = |to_coeff(x)|^2 (:class:`_Norms`).
+The eigen-transform is unitary and the eigenvalues mu_i are real and >= 0,
+so |mu^beta (2^j + mu)^{-alpha-beta}| = mu^{Re beta} (2^j + mu)^{-Re(alpha+beta)}
+and b_j^2 = 2^{2j(s + Re alpha)} sum_i mu_i^{2 Re beta}
+(2^j + mu_i)^{-2 Re(alpha+beta)} p_i: only the real parts of alpha and beta
+enter, and an evaluation transforms x once and maps nothing back. Every
+other handle or norm applies the operators and takes the norms of the rows.
+
 Infinite level sums end at a closed-form level. Since A^beta commutes with
 the resolvent, b_j = 2^{j(s - Re beta)} ||(I + 2^{-j} A)^{-a} A^beta x||
 with a = alpha + beta, and the binomial series bounds
@@ -117,12 +126,74 @@ def dyadic_block(handle: OperatorHandle, j: int, idx: BesovIndex, x,
 
 def dyadic_blocks(handle: OperatorHandle, js: np.ndarray, idx: BesovIndex, x,
                   norm: NormKind = EUCLIDEAN) -> np.ndarray:
-    x = as_array(x)
-    js = np.asarray(js, dtype=int)
-    a, b = complex(idx.alpha), complex(idx.beta)
-    rows = phi_apply(handle, b, a + b, np.exp2(js.astype(float)), x)
-    scalef = np.exp2(js * (idx.s + a.real))
-    return scalef * vector_norms(rows, norm)
+    return _Norms(handle, as_array(x), norm).blocks(idx, js)
+
+
+class _Norms:
+    """The norms of one vector x that the quasi-norms take: ||A^b (lam_i + A)^{-g} x||
+    for every shift lam_i, ||A^z x||, and ||A^b e^{-t_i A} x||.
+
+    With eigen-data in the euclidean norm each is sqrt(W @ p) for the
+    energies p = |to_coeff(x)|^2, taken here once, and one real weight matrix
+    W (shifts x n) of the real parts of the exponents (see the module
+    docstring); at mu = 0 the weights follow ``fractional._multiplier_rows``.
+    Every other handle or norm applies the operators and takes
+    :func:`vector_norms`.
+    """
+
+    def __init__(self, handle: OperatorHandle, x: np.ndarray, norm: NormKind):
+        self.handle, self.x, self.norm = handle, x, norm
+        sd = handle.spectral
+        self.energies = None
+        if sd is not None and norm.kind == "euclidean":
+            mags = np.abs(sd.to_coeff(x))
+            # scaled by a power of two to top in [1/2, 1): exact, and the
+            # energies neither underflow nor overflow
+            self.scale = math.frexp(float(mags.max(initial=0.0)))[1]
+            self.energies = np.ldexp(mags, -self.scale) ** 2
+            self.eigs = sd.eigenvalues
+            self.zero = self.eigs <= 0
+            self.log_mu = np.log(np.where(self.zero, 1.0, self.eigs))
+
+    def _log_power(self, b: complex) -> np.ndarray:
+        """ln |mu^b| = Re b ln mu per eigenvalue: 0 at mu = 0 for b = 0, -inf
+        for Re b > 0, and ValueError for any other b."""
+        if not self.zero.any() or b == 0:
+            return b.real * self.log_mu
+        if b.real <= 0:
+            raise ValueError("zero eigenvalue needs Re beta > 0 or beta = 0")
+        return np.where(self.zero, -np.inf, b.real * self.log_mu)
+
+    def _weighted(self, log_w: np.ndarray) -> np.ndarray:
+        """sqrt(sum_i |w_i|^2 p_i) for the weights with ln |w| = ``log_w``."""
+        return np.ldexp(np.sqrt(np.exp(2.0 * log_w) @ self.energies), self.scale)
+
+    def shifted(self, b: complex, g: complex, lam) -> np.ndarray:
+        """||A^b (lam + A)^{-g} x|| for one shift or a 1-D array of shifts."""
+        if self.energies is None:
+            return vector_norms(phi_apply(self.handle, b, g, lam, self.x), self.norm)
+        lams = np.asarray(lam, dtype=float)[..., None]
+        return self._weighted(self._log_power(b) - g.real * np.log(lams + self.eigs))
+
+    def power(self, z: complex) -> float:
+        """||A^z x||."""
+        if self.energies is None:
+            return vector_norm(power_apply(self.handle, z, self.x), self.norm)
+        return float(self._weighted(self._log_power(z)))
+
+    def semigroup(self, b: complex, ts: np.ndarray) -> np.ndarray:
+        """||A^b e^{-t_i A} x|| for every t_i; needs eigen-data."""
+        if self.energies is None:
+            sd = self.handle.spectral
+            mult = _cpow(sd.eigenvalues, b)[None, :] * np.exp(-ts[:, None] * sd.eigenvalues[None, :])
+            return vector_norms(sd.from_coeff(mult * sd.to_coeff(self.x)[None, :]), self.norm)
+        return self._weighted(self._log_power(b) - ts[:, None] * self.eigs)
+
+    def blocks(self, idx: BesovIndex, js: np.ndarray) -> np.ndarray:
+        """The dyadic blocks b_j at the levels ``js``."""
+        js = np.asarray(js, dtype=int)
+        a, b = complex(idx.alpha), complex(idx.beta)
+        return np.exp2(js * (idx.s + a.real)) * self.shifted(b, a + b, np.exp2(js.astype(float)))
 
 
 # --------------------------------------------------------------------------
@@ -254,17 +325,21 @@ def _certified_sum(blocks_at, q: float, tail_tolerance: float, j_start: int,
     return value, js, blocks, lo, hi
 
 
-def _upper_model(handle, idx, x, norm) -> _TailModel:
+def _upper_model(idx: BesovIndex, norms: _Norms) -> _TailModel:
     a, b = complex(idx.alpha), complex(idx.beta)
-    return _TailModel(vector_norm(power_apply(handle, b, x), norm), idx.s - b.real, 1,
-                      _operator_radius(handle, norm), abs(a + b))
+    return _TailModel(norms.power(b), idx.s - b.real, 1,
+                      _operator_radius(norms.handle, norms.norm), abs(a + b))
 
 
-def _lower_model(handle, idx, x, norm) -> _TailModel:
+def _lower_model(idx: BesovIndex, norms: _Norms) -> _TailModel:
     a, b = complex(idx.alpha), complex(idx.beta)
-    inv = OperatorHandle.inverse(handle)
-    return _TailModel(vector_norm(power_apply(inv, a, x), norm), idx.s + a.real, -1,
-                      _operator_radius(inv, norm), abs(a + b))
+    if norms.energies is None:
+        inv = OperatorHandle.inverse(norms.handle)
+        const = vector_norm(power_apply(inv, a, norms.x), norms.norm)
+        r0 = _operator_radius(inv, norms.norm)
+    else:       # ||A^{-alpha} x|| and ||A^{-1}|| = 1 / min mu from the eigenvalues
+        const, r0 = norms.power(-a), 1.0 / norms.eigs.min()
+    return _TailModel(const, idx.s + a.real, -1, r0, abs(a + b))
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +351,10 @@ def inhom_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
                      norm: NormKind = EUCLIDEAN,
                      keep_trace: bool = False) -> NormResult:
     """||(2^k+A)^{-alpha} x|| + ( sum_{j>=k} b_j^q )^{1/q}."""
-    x = as_array(x)
-    a = complex(idx.alpha)
-    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
-    model = _upper_model(handle, idx, x, norm)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
-    ssum, js, blocks, lo, hi = _certified_sum(blocks_at, idx.q, tail_tolerance, idx.k, model)
+    norms = _Norms(handle, as_array(x), norm)
+    lead = float(norms.shifted(0.0, complex(idx.alpha), 2.0 ** idx.k))
+    ssum, js, blocks, lo, hi = _certified_sum(partial(norms.blocks, idx), idx.q, tail_tolerance,
+                                              idx.k, _upper_model(idx, norms))
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
 
@@ -296,12 +369,12 @@ def homog_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
         raise ValueError("homogeneous quasi-norm needs Re beta > 0")
     if not handle.injective():
         raise ValueError("homogeneous quasi-norm needs an injective operator")
-    x = as_array(x)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
+    norms = _Norms(handle, as_array(x), norm)
+    blocks_at = partial(norms.blocks, idx)
     up, js_u, blocks_u, lo_u, hi_u = _certified_sum(
-        blocks_at, idx.q, tail_tolerance, 0, _upper_model(handle, idx, x, norm))
+        blocks_at, idx.q, tail_tolerance, 0, _upper_model(idx, norms))
     dn, js_d, blocks_d, lo_d, hi_d = _certified_sum(
-        blocks_at, idx.q, tail_tolerance, -1, _lower_model(handle, idx, x, norm))
+        blocks_at, idx.q, tail_tolerance, -1, _lower_model(idx, norms))
     value = _combine(idx.q, up, dn)
     tail_bound = _combine(idx.q, hi_u, hi_d) - _combine(idx.q, lo_u, lo_d)
     trace = None
@@ -320,12 +393,11 @@ def breve_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
         raise ValueError("the alternative inhomogeneous quasi-norm needs Re beta > 0")
     if not handle.injective():
         raise ValueError("the alternative inhomogeneous quasi-norm needs injectivity")
-    x = as_array(x)
+    norms = _Norms(handle, as_array(x), norm)
     b = complex(idx.beta)
-    lead = vector_norm(phi_apply(handle, b, b, 2.0 ** idx.k, x), norm)
-    blocks_at = partial(dyadic_blocks, handle, idx=idx, x=x, norm=norm)
-    ssum, js, blocks, lo, hi = _certified_sum(
-        blocks_at, idx.q, tail_tolerance, idx.k, _lower_model(handle, idx, x, norm))
+    lead = float(norms.shifted(b, b, 2.0 ** idx.k))
+    ssum, js, blocks, lo, hi = _certified_sum(partial(norms.blocks, idx), idx.q, tail_tolerance,
+                                              idx.k, _lower_model(idx, norms))
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
 
@@ -340,22 +412,15 @@ def semigroup_quasi_norm(handle: OperatorHandle, s: float, q: float, k: int,
     b = complex(beta)
     if not (0.0 < s < b.real):
         raise ValueError("semigroup quasi-norm needs 0 < s < Re beta")
-    x = as_array(x)
-    sd = handle.spectral
-    if sd is None:
+    if handle.spectral is None:
         raise SemigroupUnavailableError("semigroup quasi-norm needs spectral data")
-    lead = vector_norm(x, norm)
-    coeff = sd.to_coeff(x)
+    norms = _Norms(handle, as_array(x), norm)
+    lead = norms.power(0.0)
 
     def blocks_at(js: np.ndarray) -> np.ndarray:
-        ts = np.exp2(-js.astype(float))
-        mult = _cpow(sd.eigenvalues, b)[None, :] * np.exp(-ts[:, None] * sd.eigenvalues[None, :])
-        rows = sd.from_coeff(mult * coeff[None, :])
-        scalef = np.exp2(js * (s - b.real))
-        return scalef * vector_norms(rows, norm)
+        return np.exp2(js * (s - b.real)) * norms.semigroup(b, np.exp2(-js.astype(float)))
 
-    model = _TailModel(vector_norm(power_apply(handle, b, x), norm), s - b.real, 1,
-                       _operator_radius(handle, norm), None)
+    model = _TailModel(norms.power(b), s - b.real, 1, _operator_radius(handle, norm), None)
     ssum, js, blocks, lo, hi = _certified_sum(blocks_at, q, tail_tolerance, k, model)
     trace = list(zip(js.tolist(), blocks.tolist())) if keep_trace else None
     return NormResult(lead + ssum, lead, ssum, int(js[0]), int(js[-1]), hi - lo, trace)
@@ -389,16 +454,15 @@ def continuous_quasi_norm(handle: OperatorHandle, idx: BesovIndex, x,
     ``handle.constants(norm)`` (grid estimates for p in {1, inf}), and
     G <= max(G_a, G_b) / (1 - C w^2 / 8) on a cell of width w.
     """
-    x = as_array(x)
     a, b = complex(idx.alpha), complex(idx.beta)
     q = idx.q
-    lead = vector_norm(phi_apply(handle, 0.0, a, 2.0 ** idx.k, x), norm)
-    model = _upper_model(handle, idx, x, norm)
+    norms = _Norms(handle, as_array(x), norm)
+    lead = float(norms.shifted(0.0, a, 2.0 ** idx.k))
+    model = _upper_model(idx, norms)
     tol = tail_tolerance
 
     def g_many(us: np.ndarray) -> np.ndarray:
-        rows = phi_apply(handle, b, a + b, np.exp(us), x)
-        return np.exp(us * (idx.s + a.real)) * vector_norms(rows, norm)
+        return np.exp(us * (idx.s + a.real)) * norms.shifted(b, a + b, np.exp(us))
 
     u_min = idx.k * math.log(2.0)
     u_max = max(u_min + 1.0, model.octaves(0.5 * tol) * math.log(2.0))

@@ -355,13 +355,6 @@ class OperatorHandle:
                 self._constants_cache[key] = _euclidean_constants(b)
         return self._constants_cache[key]
 
-    def spectral_angle_bound(self, norm: NormKind = EUCLIDEAN) -> float:
-        """Upper bound pi - arcsin(1/M_A) on the sectoriality angle."""
-        m_const, _ = self.constants(norm)
-        if self.spectral is not None:
-            return 0.0
-        return math.pi - math.asin(min(1.0, 1.0 / max(m_const, 1.0)))
-
     def __repr__(self):
         return f"OperatorHandle(kind={self.kind!r}, dim={self.dim})"
 

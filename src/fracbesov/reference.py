@@ -218,17 +218,21 @@ def _lower_envelope_min(d, g, ts) -> np.ndarray:
 def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
     """Brute t-grid x mu-scan interpolation quasi-norm with analytic tails.
 
-    K(t) is the least of the trivial decompositions and d_mu + t g_mu over
-    every mu-node, taken on the lower envelope of those lines."""
-    eigs = np.asarray(eigs, dtype=float)
-    absx2 = np.abs(np.asarray(x)) ** 2
-    sig = eigs ** (2 * complex(alpha).real)
+    The kernel part of x costs nothing in x1, so K(t, x) is K(t) of the rest.
+    K(t) = t ||A^alpha x|| up to t0 = ||A^alpha x|| / ||A^{2 alpha} x|| and
+    ||x|| from t_inf = ||A^{-alpha} x|| / ||x|| on, so both tails are closed
+    forms and the uniform ln t grid runs from kink to kink. On the grid K(t)
+    is the least of the trivial decompositions and d_mu + t g_mu over every
+    mu-node, taken on the lower envelope of those lines."""
+    sig = np.asarray(eigs, dtype=float) ** (2 * complex(alpha).real)
+    keep = sig > 0
+    absx2, sig = np.abs(np.asarray(x)[keep]) ** 2, sig[keep]
     cx = math.sqrt(float((absx2 * sig).sum()))
     if cx == 0.0:
         return 0.0      # x0 = 0, x1 = x costs t ||A^alpha x|| = 0 at every t
     nx = math.sqrt(float(absx2.sum()))
-    t_star = nx / cx
-    us = np.linspace(math.log(t_star) - 28.0, math.log(t_star) + 28.0, n_t)
+    us = np.linspace(math.log(cx) - 0.5 * math.log(float((absx2 * sig ** 2).sum())),
+                     0.5 * math.log(float((absx2 / sig).sum())) - math.log(nx), n_t)
     ts = np.exp(us)
     mus = np.geomspace(1e-14, 1e14, n_mu)[:, None]
     r = mus * sig[None, :]

@@ -630,3 +630,104 @@ def test_reference_level_sums_without_overflow(seed, idx):
     assert inhom_quasi_norm(h, idx, x).value == pytest.approx(want_inhom, rel=1e-9)
     assert homog_quasi_norm(h, idx, x).value == pytest.approx(ref.homog_norm(eigs, x, *args),
                                                               rel=1e-9)
+
+
+# ------------------------------------------------- the coefficient route ----
+# With eigen-data in the euclidean norm every quasi-norm takes its norms from
+# the coefficient energies |to_coeff(x)|^2; a weighted norm with unit weights
+# is the same norm on the operator route, so the two must agree.
+
+def _spd6():
+    q, _ = np.linalg.qr(np.random.default_rng(44).normal(size=(6, 6)))
+    return OperatorHandle.dense(q @ np.diag(np.geomspace(0.2, 50.0, 6)) @ q.T)
+
+
+_ROUTE_HANDLES = {
+    "diagonal": OperatorHandle.diagonal([0.3, 1.0, 7.0, 120.0]),
+    "spd": _spd6(),
+    "torus1": OperatorHandle.shifted(OperatorHandle.torus_laplacian(8), 0.5),
+    "torus2": OperatorHandle.shifted(OperatorHandle.torus_laplacian(4, dims=2), 0.5),
+}
+_ROUTE_INDICES = [BesovIndex(0.3, 2.0, 0, 0.4, 1.0),
+                  BesovIndex(-0.2, 0.5, 1, 0.6 + 0.8j, 1.3 - 0.5j),
+                  BesovIndex(0.5, math.inf, -1, 0.2j, 0.9 + 2.0j)]
+
+
+def _route_vector(n):
+    rng = np.random.default_rng(45)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _quasi_norms(idx):
+    return {
+        "inhom": lambda h, x, norm: inhom_quasi_norm(h, idx, x, norm=norm),
+        "homog": lambda h, x, norm: homog_quasi_norm(h, idx, x, norm=norm),
+        "breve": lambda h, x, norm: breve_quasi_norm(h, idx, x, norm=norm),
+        "continuous": lambda h, x, norm: continuous_quasi_norm(h, idx, x, norm=norm),
+        "semigroup": lambda h, x, norm: semigroup_quasi_norm(
+            h, abs(idx.s), idx.q, idx.k, idx.beta, x, norm=norm),
+    }
+
+
+def _assert_routes_agree(variant, got, want, q):
+    if variant == "continuous" and math.isinf(q):
+        assert abs(got.value - want.value) <= max(got.tail_bound, want.tail_bound)
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+        assert got.leading == pytest.approx(want.leading, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("variant", ["inhom", "homog", "breve", "continuous", "semigroup"])
+@pytest.mark.parametrize("idx", _ROUTE_INDICES, ids=["real", "complex", "sup"])
+@pytest.mark.parametrize("name", list(_ROUTE_HANDLES))
+def test_coefficient_route_matches_the_operator_route(name, idx, variant):
+    h = _ROUTE_HANDLES[name]
+    x = _route_vector(h.dim)
+    evaluate = _quasi_norms(idx)[variant]
+    got = evaluate(h, x, NormKind())
+    want = evaluate(h, x, NormKind("weighted", weights=np.ones(h.dim)))
+    _assert_routes_agree(variant, got, want, idx.q)
+
+
+_BETA_ZERO = BesovIndex(-0.3, 2.0, 0, 0.6 + 0.4j, 0.0)
+_RE_BETA_POSITIVE = BesovIndex(0.2, 1.0, 0, 0.3, 0.8 + 1.5j)
+
+
+@pytest.mark.parametrize("variant, idx", [
+    ("inhom", _BETA_ZERO), ("continuous", _BETA_ZERO), ("inhom", _RE_BETA_POSITIVE),
+    ("continuous", _RE_BETA_POSITIVE), ("semigroup", _RE_BETA_POSITIVE),
+])
+def test_coefficient_route_on_a_zero_eigenvalue(variant, idx):
+    h = OperatorHandle.diagonal([0.0, 0.5, 3.0, 40.0])
+    x = _route_vector(4)
+    evaluate = _quasi_norms(idx)[variant]
+    got = evaluate(h, x, NormKind())
+    want = evaluate(h, x, NormKind("weighted", weights=np.ones(4)))
+    _assert_routes_agree(variant, got, want, idx.q)
+
+
+@pytest.mark.parametrize("norm", [NormKind(), NormKind("weighted", weights=np.ones(4))],
+                         ids=["coefficient", "operator"])
+def test_imaginary_beta_on_a_zero_eigenvalue_raises(norm):
+    h = OperatorHandle.diagonal([0.0, 0.5, 3.0, 40.0])
+    with pytest.raises(ValueError, match="zero eigenvalue"):
+        inhom_quasi_norm(h, BesovIndex(-0.3, 2.0, 0, 0.6, 0.5j), _route_vector(4), norm=norm)
+
+
+@pytest.mark.parametrize("variant", ["inhom", "homog", "breve", "continuous", "semigroup"])
+def test_quasi_norms_transform_once_and_never_back(variant):
+    from test_fractional import _counted_spd
+    h, calls = _counted_spd()
+    _quasi_norms(BesovIndex(0.3, 2.0, 0, 0.4 + 0.2j, 1.0))[variant](
+        h, _route_vector(8), NormKind())
+    assert calls == {"to": 1, "from": 0}
+
+
+@pytest.mark.parametrize("variant", ["inhom", "homog", "breve", "continuous", "semigroup"])
+def test_coefficient_route_is_homogeneous_down_to_tiny_vectors(variant):
+    # |c|^2 of a 1e-170 vector underflows; the energies are scaled first
+    h, x = _ROUTE_HANDLES["spd"], _route_vector(6)
+    evaluate = _quasi_norms(_ROUTE_INDICES[1])[variant]
+    want = evaluate(h, x, NormKind()).value
+    assert evaluate(h, 1e-170 * x, NormKind()).value == pytest.approx(1e-170 * want, rel=1e-13,
+                                                                      abs=0.0)

@@ -151,7 +151,7 @@ def test_index_grid_override():
                      ensemble=small)
     assert rep3.degenerate == 0
     assert rep3.verdict == "pass"
-    assert rep3.ratio_min == 0.9105384915592142
+    assert rep3.ratio_min == 0.9105384915592141
     assert rep3.ratio_max == 0.9448921526075551
     # a check's own constraint on the whole grid still raises
     mixed = [BesovIndex(0.4, 2.0, 0, 0.0, 1.0), BesovIndex(0.3, 2.0, 0, 0.0, 1.0)]

@@ -157,6 +157,20 @@ def _curve_ends(eig, x, alpha):
     return nx, ncx, ncx / math.sqrt((w * sig ** 2).sum()), math.sqrt((w / sig).sum()) / nx
 
 
+def _quad_interpolation_norm(eig, x, alpha, theta, q):
+    """The q-norm integral of t^-theta K(t, x) over [t0, t_inf] by scipy's
+    quad on the scalar K, with both closed-form tails."""
+    from scipy import integrate
+    c = CoupleSpec(OperatorHandle.diagonal(eig), alpha, theta, q)
+    nx, ncx, t0, t_inf = _curve_ends(eig, x, alpha)
+    core, _ = integrate.quad(
+        lambda u: (math.exp(-theta * u) * k_functional(c, math.exp(u), x)) ** q,
+        math.log(t0), math.log(t_inf), epsabs=0.0, epsrel=1e-13, limit=400)
+    tails = (ncx ** q * t0 ** ((1 - theta) * q) / ((1 - theta) * q)
+             + nx ** q * t_inf ** (-theta * q) / (theta * q))
+    return (core + tails) ** (1.0 / q)
+
+
 @pytest.mark.parametrize("eig, x, alpha, theta, q", [
     (MOTIVATION_EIG, MOTIVATION_X, 1.4, 0.6, 2.0),
     (SUP_EIG, SUP_X, 1.4, 0.3, math.inf),
@@ -165,11 +179,11 @@ def _curve_ends(eig, x, alpha):
     ([1.0, 1e6], [1.0, 1e-2], 1.0, 0.3, math.inf),
 ])
 def test_interpolation_norm_against_scalar_k(eig, x, alpha, theta, q):
-    from scipy import integrate, optimize
+    from scipy import optimize
     x = np.array(x, dtype=complex)
     c = CoupleSpec(OperatorHandle.diagonal(eig), alpha, theta, q)
     res = interpolation_norm(c, x)
-    nx, ncx, t0, t_inf = _curve_ends(eig, x, alpha)
+    _, _, t0, t_inf = _curve_ends(eig, x, alpha)
     assert (res.j_lo, res.j_hi) == (math.floor(math.log2(t0)), math.ceil(math.log2(t_inf)))
     assert res.tail_bound <= 1e-9 * res.value
 
@@ -185,11 +199,19 @@ def test_interpolation_norm_against_scalar_k(eig, x, alpha, theta, q):
             method="bounded", options={"xatol": 1e-12})
         assert res.value == pytest.approx(-best.fun, rel=1e-10)
     else:
-        core, _ = integrate.quad(lambda u: profile(u) ** q, math.log(t0), math.log(t_inf),
-                                 epsabs=0.0, epsrel=1e-13, limit=400)
-        tails = (ncx ** q * t0 ** ((1 - theta) * q) / ((1 - theta) * q)
-                 + nx ** q * t_inf ** (-theta * q) / (theta * q))
-        assert res.value == pytest.approx((core + tails) ** (1.0 / q), rel=1e-9)
+        assert res.value == pytest.approx(_quad_interpolation_norm(eig, x, alpha, theta, q),
+                                          rel=1e-9)
+
+
+@pytest.mark.parametrize("eig, x, alpha, theta", [
+    (MOTIVATION_EIG, MOTIVATION_X, 1.4, 0.6), (MOTIVATION_EIG, MOTIVATION_X, 0.8, 0.3),
+    (SUP_EIG, SUP_X, 1.4, 0.3), (SUP_EIG, SUP_X, 0.8, 0.6),
+])
+def test_reference_interpolation_norm_against_the_quad_oracle(eig, x, alpha, theta):
+    # the brute oracle's ln t grid runs from kink to kink of K, t0 to t_inf
+    x = np.array(x, dtype=complex)
+    want = _quad_interpolation_norm(eig, x, alpha, theta, 2.0)
+    assert ref.interpolation_norm(eig, x, alpha, theta, 2.0) == pytest.approx(want, rel=1e-5)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])

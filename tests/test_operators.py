@@ -508,12 +508,6 @@ def test_p_norm_constants_raise_when_not_nonnegative(spec, p):
         build_operator(spec).constants(NormKind("p", p=p))
 
 
-def test_spectral_angle_bound():
-    assert OperatorHandle.diagonal([1.0, 2.0]).spectral_angle_bound() == 0.0
-    h = OperatorHandle.dense([[1.0, 10.0], [0.0, 1.0]])
-    assert 0.0 < h.spectral_angle_bound() < math.pi
-
-
 def test_torus_spectrum_matches_plane_waves():
     n = 16
     t = OperatorHandle.torus_laplacian(n)

@@ -73,8 +73,9 @@ def _dense_interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000):
     sig = np.asarray(eigs, dtype=float) ** (2 * alpha)
     cx = math.sqrt(float((absx2 * sig).sum()))
     nx = math.sqrt(float(absx2.sum()))
-    t_star = nx / max(cx, 1e-300)
-    us = np.linspace(math.log(t_star) - 28.0, math.log(t_star) + 28.0, n_t)
+    # the oracle's grid: from t0 = cx / ||A^{2 alpha} x|| to t_inf = ||A^{-alpha} x|| / nx
+    us = np.linspace(math.log(cx) - 0.5 * math.log(float((absx2 * sig ** 2).sum())),
+                     0.5 * math.log(float((absx2 / sig).sum())) - math.log(nx), n_t)
     ts = np.exp(us)
     d, g = _lines(np.asarray(eigs, dtype=float), absx2, alpha, n_mu)
     ks = np.minimum(_dense_min(d, g, ts), np.minimum(nx, ts * cx))
@@ -107,6 +108,14 @@ def test_interpolation_norm_on_the_calibration_draws():
 def test_interpolation_norm_is_zero_when_the_seminorm_vanishes(eigs, x, q):
     # A^alpha x = 0 lets x1 = x cost nothing, so K(t, x) = 0 at every t
     assert ref.interpolation_norm(eigs, x, 0.8, 0.4, q) == 0.0
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_interpolation_norm_drops_the_kernel_part(q):
+    # x1 takes the kernel part of x at no cost, so K(t, x) is that of the rest
+    eigs, x = [0.0, 0.5, 2.0, 30.0], np.array([3.0, 1.0, -0.5j, 0.2])
+    assert ref.interpolation_norm(eigs, x, 0.8, 0.4, q) == \
+        ref.interpolation_norm(eigs[1:], x[1:], 0.8, 0.4, q)
 
 
 def _continuous_cases(count, seed, n_max):
