@@ -21,7 +21,11 @@ quadrature node weights coefficient rows by scalar multipliers of the
 eigenvalues, and the integral (linear in the rows) is mapped back once at
 exit. The multipliers l^pre mu^b (l+mu)^{-g} are combined in log space
 (:func:`_log_multiplier_rows`), in real arithmetic when the exponents are
-real.
+real. On handles without, the evaluators work in Schur coordinates the same
+way: x maps to x Z^* once, every shifted solve, on the quadrature routes
+and the contour alike, is a back-substitution on the triangular factor T of
+A = Z T Z^H (:meth:`OperatorHandle._triangular`), and the result maps back
+by Z^T once.
 """
 
 from __future__ import annotations
@@ -108,14 +112,18 @@ def _multiplier_rows(eigs, lams, pre, beta, gamma_exp, coeff):
 
 
 def _coordinates(handle: OperatorHandle, x: np.ndarray):
-    """(v, back): ``x`` in the coordinates an evaluator computes in, and the
-    map of its result back. With eigen-data these are the eigen-coordinates
-    (v = to_coeff(x), back = from_coeff), so an evaluation makes one
-    transform at entry and one at exit; otherwise ``x`` itself."""
+    """(h, v, back): the handle an evaluator computes with, ``x`` in its
+    coordinates and the map of the result back, so that an evaluation makes
+    one transform at entry and one at exit. With eigen-data these are the
+    handle itself and its eigen-coordinates (v = to_coeff(x), back =
+    from_coeff); otherwise the handle on the triangular Schur factor T of
+    A = Z T Z^H (:meth:`OperatorHandle._triangular`), v = x Z^* and
+    back(y) = y Z^T."""
     s = handle.spectral
-    if s is None:
-        return x, lambda y: y
-    return s.to_coeff(x), s.from_coeff
+    if s is not None:
+        return handle, s.to_coeff(x), s.from_coeff
+    z = handle._schur()[0]
+    return handle._triangular(), x @ z.conj(), lambda y: y @ z.T
 
 
 def _shifted_rows(handle: OperatorHandle, lams: np.ndarray, v: np.ndarray,
@@ -183,13 +191,13 @@ def frac_power(
     pref = balakrishnan_prefactor(a, n)
     lo, hi = handle.scales()
     s = handle.spectral
-    v, back = _coordinates(handle, x)
+    h, v, back = _coordinates(handle, x)
 
     if s is not None:
         def integrand(lams: np.ndarray) -> np.ndarray:
             return _log_multiplier_rows(s.eigenvalues, lams, a, n, n, v)
     else:
-        integrand = _power_integrand(handle.l_compose_batch, a, n, v)
+        integrand = _power_integrand(h.l_compose_batch, a, n, v)
 
     val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=a.real, decay_hi=n - a.real)
@@ -216,7 +224,8 @@ def power_apply(handle: OperatorHandle, z, x) -> np.ndarray:
         return x.copy()
     if handle.spectral is not None:
         return spectral_frac_power(handle, z, x)
-    return _contour_apply(handle, z, 0.0, np.ones(1), x)[0]
+    h, v, back = _coordinates(handle, x)
+    return back(_contour_apply(h, z, 0.0, np.ones(1), v)[0])
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +240,7 @@ _CONTOUR_MIN_CAP = 1024
 _CONTOUR_NODES_PER_RADIUS = 128
 
 
-def _contour_apply(handle: OperatorHandle, b: complex, g: complex, lams: np.ndarray,
+def _contour_apply(handle: OperatorHandle, b, g: complex, lams: np.ndarray,
                    x: np.ndarray) -> np.ndarray:
     """Rows A^b (lam_i + A)^{-g} x, one per shift, for a handle without
     spectral data: the Cauchy integral (1/2 pi i) oint f(z) (z - A)^{-1} x dz
@@ -241,7 +250,8 @@ def _contour_apply(handle: OperatorHandle, b: complex, g: complex, lams: np.ndar
     Trefethen, SIAM J. Numer. Anal. 46(5), 2008) and its nodes depend only
     on A, so one block of Schur solves serves every shift. Node counts
     double, solving only at the new nodes, until each shift's last two sums
-    agree to _CONTOUR_RTOL; ``x`` is a vector (n,) or a block (k, n).
+    agree to _CONTOUR_RTOL; ``b`` is one exponent or one per shift, and
+    ``x`` is a vector (n,) or a block (k, n).
 
     The angle strip where the integrand stays analytic narrows like
     (pi - _CONTOUR_HEIGHT) / radius, so the nodes for a fixed accuracy grow
@@ -258,6 +268,7 @@ def _contour_apply(handle: OperatorHandle, b: complex, g: complex, lams: np.ndar
     if np.any(((logs.real - centre) / radius) ** 2 + (logs.imag / _CONTOUR_HEIGHT) ** 2 >= 1.0):
         raise ValueError("an eigenvalue lies outside the contour: too close to (-inf, 0]")
     rows = x.reshape(-1, handle.dim)
+    b = np.broadcast_to(np.asarray(b, dtype=complex), lams.shape)
     out = np.empty((len(lams), rows.size), dtype=complex)
     active = np.arange(len(lams))      # shifts not yet certified
     sums = np.zeros_like(out)
@@ -270,7 +281,7 @@ def _contour_apply(handle: OperatorHandle, b: complex, g: complex, lams: np.ndar
         dz = z * (-radius * np.sin(t) + 1j * _CONTOUR_HEIGHT * np.cos(t))
         # (z - A)^{-1} = -(-z + A)^{-1}, one row of the block per node
         res = -handle._schur_solve(np.repeat(-z, len(rows)), np.tile(rows, (len(z), 1)))
-        f = np.exp(b * w[None, :] - g * np.log(lams[active, None] + z[None, :]))
+        f = np.exp(b[active, None] * w[None, :] - g * np.log(lams[active, None] + z[None, :]))
         sums += (f * dz[None, :]) @ res.reshape(len(z), -1)
         value = sums / (1j * nodes)
         if prev is not None:
@@ -309,8 +320,8 @@ def phi_apply(handle: OperatorHandle, beta, gamma_exp, lam, x) -> np.ndarray:
         raise ValueError("lam must be a scalar or a 1-D array")
     if not np.all(lams > 0):
         raise ValueError("phi_apply needs lam > 0")
-    v, back = _coordinates(handle, x)
-    y = back(_weighted_rows(handle, 0.0, b, g, np.atleast_1d(lams), v))
+    h, v, back = _coordinates(handle, x)
+    y = back(_weighted_rows(h, 0.0, b, g, np.atleast_1d(lams), v))
     return y[0] if lams.ndim == 0 else y
 
 
@@ -355,10 +366,10 @@ def frac_power_unified(
         raise ValueError("Re z <= 0 needs an injective operator")
     pref = unified_prefactor(zc, a, b)
     lo, hi = handle.scales()
-    v, back = _coordinates(handle, x)
+    h, v, back = _coordinates(handle, x)
 
     def integrand(lams):
-        return _weighted_rows(handle, zc + a, b, a + b, lams, v)
+        return _weighted_rows(h, zc + a, b, a + b, lams, v)
 
     val, _ = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                       decay_lo=zc.real + a.real,
@@ -403,7 +414,7 @@ def frac_resolvent(
     pref = reciprocal_beta_prefactor(alpha).real
     cosa = math.cos(math.pi * alpha)
     lo, hi = handle.scales()
-    v, back = _coordinates(handle, x)
+    h, v, back = _coordinates(handle, x)
 
     def integrand(mus):
         denom = lam * lam + 2.0 * lam * mus ** alpha * cosa + mus ** (2 * alpha)
@@ -411,7 +422,7 @@ def frac_resolvent(
             kern = lam * mus ** alpha / denom
         else:
             kern = mus ** (alpha + 1.0) / denom
-        return kern[:, None] * _shifted_rows(handle, mus, v, companion)
+        return kern[:, None] * _shifted_rows(h, mus, v, companion)
 
     val, diag = integrate_multiplicative(integrand, lo, hi, tail_tolerance,
                                          decay_lo=alpha, decay_hi=alpha)
@@ -463,7 +474,7 @@ def frac_power_via_semigroup(
         raise SemigroupUnavailableError("semigroup route needs spectral data")
     lo, hi = handle.scales()
     pref = 1.0 / gamma(b - a)
-    v, back = _coordinates(handle, x)
+    _, v, back = _coordinates(handle, x)
 
     def integrand(ts):
         mult = _cpow(ts[:, None] * s.eigenvalues[None, :], b) * \
@@ -563,7 +574,7 @@ def subordinated_semigroup_via_kernel(handle: OperatorHandle, alpha: float, t: f
     if t == 0:
         return x.copy()
     eig = handle.spectral.eigenvalues
-    v, back = _coordinates(handle, x)
+    _, v, back = _coordinates(handle, x)
 
     def integrand(ss):
         kern = np.array([subordination_kernel(alpha, t, si) for si in ss]) * ss   # ds = s du
@@ -597,14 +608,23 @@ _ERGODIC_RTOL = 1e-6      # convergence toward infinity; its square root toward 
 def ergodic_limits(handle: OperatorHandle, alpha, x) -> ErgodicLimits:
     """Evaluate t^a (t+A)^{-a} x and A^a (t+A)^{-a} x across both ergodic
     regimes, on 33 log-spaced t from 1e-8 to 1e8 times the spectral scales,
-    and extrapolate the kernel/range splitting."""
+    and extrapolate the kernel/range splitting. Both families are computed
+    in the coordinates of :func:`_coordinates`, on a handle without
+    eigen-data by one contour integral, and mapped back together."""
     a = complex(alpha)
+    if a.real < 0:
+        raise ValueError("ergodic_limits needs Re alpha >= 0")
     x = as_array(x)
     lo, hi = handle.scales()
     t_grid = np.geomspace(1e-8 * lo, 1e8 * hi, 33)
 
-    m_rows = (t_grid ** a)[:, None] * phi_apply(handle, 0.0, a, t_grid, x)
-    l_rows = phi_apply(handle, a, a, t_grid, x)
+    h, v, back = _coordinates(handle, x)
+    if h.spectral is None:   # one contour integral: its nodes serve both exponents
+        rows = _contour_apply(h, np.repeat([0.0, a], len(t_grid)), a, np.tile(t_grid, 2), v)
+    else:
+        rows = np.concatenate([_weighted_rows(h, 0.0, b, a, t_grid, v) for b in (0.0, a)])
+    m_rows, l_rows = np.split(back(rows), 2)
+    m_rows = (t_grid ** a)[:, None] * m_rows
 
     scale = np.linalg.norm(x) or 1.0
     # one Richardson step at the known approach rates: O(1/t) toward
@@ -662,10 +682,10 @@ def reproducing_residual(
     if x.ndim != 1:
         raise ValueError("reproducing_residual takes one vector (n,), not a block")
     lo, hi = handle.scales()
-    v, back = _coordinates(handle, x)
+    h, v, back = _coordinates(handle, x)
 
     def tail_integrand(ts):
-        return _weighted_rows(handle, a, complex(m), a + m, ts, v)
+        return _weighted_rows(h, a, complex(m), a + m, ts, v)
 
     pref_tail = gamma(a + m) / (gamma(a) * gamma(m))
     if lam_cut == 0:
@@ -682,13 +702,13 @@ def reproducing_residual(
                                           decay_lo=1.0, decay_hi=m)
         y = pref_tail * val
         cut = np.array([lam_cut], dtype=float)
-        term = lam_cut ** a * _weighted_rows(handle, 0.0, 0.0, a, cut, v)[0]
+        term = lam_cut ** a * _weighted_rows(h, 0.0, 0.0, a, cut, v)[0]
         boundary = np.zeros_like(v)
         for k in range(m):
             coeff = gamma(a + k) / (gamma(a) * gamma(k + 1))
             boundary = boundary + coeff * term
             if k + 1 < m:
-                term = _shifted_rows(handle, cut, term, True)[0]
+                term = _shifted_rows(h, cut, term, True)[0]
         y = y + boundary
     y = back(y)
     return float(np.linalg.norm(x - y) / max(np.linalg.norm(x), 1e-300))

@@ -11,10 +11,14 @@ Supported kinds: diagonal, dense, torus_laplacian, shifted, inverse and
 frac_power (real exponent). A handle with eigen-data acts by multipliers; a
 handle without is its matrix, which the composite kinds compute at
 construction (base + eps I, the inverse of the base, and the Balakrishnan
-power of the base), and solves through one complex Schur factorization,
-computed with numpy alone (:func:`_complex_schur`); a shifted handle takes
-its base's factor with the shift on the diagonal. Handles are immutable
-after construction and all operations are pure.
+power of the base), and solves through one complex Schur factorization
+A = Z T Z^H, computed with numpy alone (:func:`_complex_schur`); a shifted
+handle takes its base's factor with the shift on the diagonal. Its
+triangular form (:meth:`OperatorHandle._triangular`) is the handle on T,
+where shifted solves are back-substitutions with no Z product; the
+evaluators of :mod:`fracbesov.fractional` compute there. Handles are
+immutable after construction (the factors are caches built on first use)
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -123,6 +127,7 @@ class OperatorHandle:
         self._scale_cache: Optional[tuple[float, float]] = None
         self._singular_values: Optional[np.ndarray] = None
         self._schur_cache: Optional[tuple[np.ndarray, np.ndarray]] = schur
+        self._triangular_cache: Optional["OperatorHandle"] = None
 
     # ---- constructors ----
 
@@ -243,15 +248,14 @@ class OperatorHandle:
         return x @ self.matrix().T
 
     def l_compose_batch(self, lams: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Per-row A (lam_i + A)^{-1} row_i, computed without the cancellation
-        of the identity-decomposition form x - lam (lam+A)^{-1} x."""
-        lams = np.asarray(lams, dtype=float)
-        rows = np.asarray(rows, dtype=complex)
+        """Per-row A (lam_i + A)^{-1} row_i for lam_i > 0, computed without the
+        cancellation of the identity-decomposition form x - lam (lam+A)^{-1} x."""
         s = self.spectral
-        if s is not None:
-            denom = lams[:, None] + s.eigenvalues[None, :]
-            return s.from_coeff(s.to_coeff(rows) * (s.eigenvalues[None, :] / denom))
-        return self.apply(self.resolvent_batch(lams, rows))
+        if s is None:
+            return self.apply(self.resolvent_batch(lams, rows))
+        lams, rows = self._checked_shifts(lams, rows)
+        denom = lams[:, None] + s.eigenvalues[None, :]
+        return s.from_coeff(s.to_coeff(rows) * (s.eigenvalues[None, :] / denom))
 
     def resolvent(self, lam: float, x) -> np.ndarray:
         """(lam + A)^{-1} x for lam > 0."""
@@ -268,12 +272,7 @@ class OperatorHandle:
 
         Multipliers for spectral kinds; otherwise one back-substitution over
         the batch on the cached Schur factor (see :meth:`_schur`)."""
-        lams = np.asarray(lams, dtype=float)
-        rows = np.asarray(rows, dtype=complex)
-        if rows.shape != (len(lams), self.dim):
-            raise ValueError("rows must be (len(lams), dim)")
-        if np.any(lams <= 0):
-            raise ValueError("resolvent is defined here for lam > 0 only")
+        lams, rows = self._checked_shifts(lams, rows)
         s = self.spectral
         if s is not None:
             denom = lams[:, None] + s.eigenvalues[None, :]
@@ -282,19 +281,33 @@ class OperatorHandle:
             return s.from_coeff(s.to_coeff(rows) / denom)
         return self._schur_solve(lams, rows)
 
+    def _checked_shifts(self, lams, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(lams, rows) as arrays, once rows is (len(lams), dim) and every lam is > 0."""
+        lams = np.asarray(lams, dtype=float)
+        rows = np.asarray(rows, dtype=complex)
+        if rows.shape != (len(lams), self.dim):
+            raise ValueError("rows must be (len(lams), dim)")
+        if np.any(lams <= 0):
+            raise ValueError("resolvent is defined here for lam > 0 only")
+        return lams, rows
+
     def _schur_solve(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Per-row row_i -> (shift_i + A)^{-1} row_i for real or complex
         shifts: (shift + A)^{-1} = Z (shift + T)^{-1} Z^H, one back-substitution
-        on the shifted triangular factor for all rows at once."""
+        on the shifted triangular factor for all rows at once. The
+        substitution runs on the transposed batch, one contiguous row per
+        component; on a handle in Schur coordinates (:meth:`_triangular`)
+        Z is the identity and neither product is taken."""
         z, t = self._schur()
-        pivots = shifts[:, None] + np.diag(t)[None, :]
+        pivots = shifts[None, :] + np.diag(t)[:, None]
         if np.any(pivots == 0):
             raise SingularResolventError("shifted solve failed: operator not non-negative?")
-        c = rows @ z.conj()
-        w = np.empty_like(c)
+        schur_coordinates = self._triangular_cache is self
+        c = rows.T if schur_coordinates else z.conj().T @ rows.T
+        w = np.empty(c.shape, dtype=complex)
         for j in range(self.dim - 1, -1, -1):
-            w[:, j] = (c[:, j] - w[:, j + 1:] @ t[j, j + 1:]) / pivots[:, j]
-        return w @ z.T
+            w[j] = (c[j] - t[j, j + 1:] @ w[j + 1:]) / pivots[j]
+        return w.T if schur_coordinates else (z @ w).T
 
     # ---- derived data ----
 
@@ -305,6 +318,21 @@ class OperatorHandle:
         if self._schur_cache is None:
             self._schur_cache = _complex_schur(self.matrix())
         return self._schur_cache
+
+    def _triangular(self) -> "OperatorHandle":
+        """The handle on the triangular Schur factor T of A = Z T Z^H, whose
+        own Schur factor is (I, T): the operator in Schur coordinates, where
+        x maps to x Z^* (rows) and back by y Z^T. Built once per handle, it
+        shares the singular values (Z is unitary), so its scales and
+        injectivity are those of A."""
+        if self._triangular_cache is None:
+            _, t = self._schur()
+            tri = OperatorHandle("triangular", self.dim, matrix=t,
+                                 schur=(np.eye(self.dim, dtype=complex), t))
+            tri._singular_values = self._spectral_magnitudes()
+            tri._triangular_cache = tri
+            self._triangular_cache = tri
+        return self._triangular_cache
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -412,12 +440,20 @@ def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _induced_norms(mats: np.ndarray, norm: NormKind) -> np.ndarray:
     """Exact induced norms of a stack (..., n, n): the largest singular value
-    for euclidean, weighted and p = 2 norms, column/row sums for p in {1, inf}."""
+    for euclidean, weighted and p = 2 norms, column/row sums for p in {1, inf}.
+
+    The largest singular value is the square root of the top eigenvalue of
+    the Gram matrix M^H M, once M is scaled by a power of two that brings its
+    largest entry into [1, 2), so that the squares neither overflow nor
+    underflow; the scaling and its undoing are exact."""
     if norm.kind in ("euclidean", "weighted") or norm.p == 2:
         if norm.kind == "weighted":
             d = np.sqrt(norm.weights)
             mats = (d[:, None] * mats) / d[None, :]
-        return np.linalg.norm(mats, 2, axis=(-2, -1))
+        up = np.ldexp(1.0, np.minimum(1 - np.frexp(np.abs(mats).max(axis=(-2, -1)))[1], 1023))
+        m = mats * up[..., None, None]
+        top = np.linalg.eigvalsh(m.conj().swapaxes(-2, -1) @ m)[..., -1]
+        return np.sqrt(np.maximum(top, 0.0)) / up
     if norm.p == 1:
         return np.abs(mats).sum(axis=-2).max(axis=-1)
     if math.isinf(norm.p):
@@ -447,8 +483,9 @@ def estimate_nonnegativity_constants(
     euclidean and weighted norms.
 
     The induced norms are exact at every grid point: one batched shifted
-    solve over the whole grid, then SVD (euclidean, weighted) or column/row
-    sums (p in {1, inf}). Divergence (values still growing at the grid
+    solve over the whole grid, then the top eigenvalue of each Gram matrix
+    (euclidean, weighted; :func:`_induced_norms`) or column/row sums
+    (p in {1, inf}). Divergence (values still growing at the grid
     endpoints) signals that the operator is not non-negative; it is reported
     via the ``diverging`` flag, never clamped.
     """

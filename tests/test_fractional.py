@@ -41,6 +41,14 @@ def _complex_pair():
     return s @ block @ np.linalg.inv(s)
 
 
+def _rotated_upper6():
+    """UPPER6 in a random complex unitary basis, so that the Schur vectors Z
+    of A = Z T Z^H are far from the identity (on UPPER6 itself Z = I)."""
+    rng = np.random.default_rng(44)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    return q @ UPPER6 @ q.conj().T
+
+
 def _spd(rng, n, lo=0.3, hi=30.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return OperatorHandle.dense(q @ np.diag(np.geomspace(lo, hi, n)) @ q.T)
@@ -178,7 +186,9 @@ def test_unified_and_reproducing_on_a_nonnormal_matrix():
 
 
 @pytest.mark.parametrize("handle", [OperatorHandle.diagonal(np.geomspace(0.3, 8.0, 6)),
-                                    OperatorHandle.dense(UPPER6)], ids=["diagonal", "dense"])
+                                    OperatorHandle.dense(UPPER6),
+                                    OperatorHandle.dense(_rotated_upper6())],
+                         ids=["diagonal", "dense", "rotated"])
 def test_unified_takes_blocks_and_reproducing_takes_one_vector(handle):
     block = np.random.default_rng(12).normal(size=(2, 6)) + 0j
     got = frac_power_unified(handle, 0.4, 0.5, 1.0, block)
@@ -252,7 +262,8 @@ def test_phi_apply_over_an_array_of_shifts(handle, b, g, shape):
 
 # (0.0294, 0.5614) at lam = 9.62: fractional parts of beta and gamma - beta
 # below 0.04, too slow a decay for a real-integral representation to truncate
-@pytest.mark.parametrize("make", [lambda: UPPER6, _complex_pair], ids=["upper6", "complex_pair"])
+@pytest.mark.parametrize("make", [lambda: UPPER6, _complex_pair, _rotated_upper6],
+                         ids=["upper6", "complex_pair", "rotated"])
 @pytest.mark.parametrize("b, g", [(0.6, 1.3), (1.0, 2.0), (0.0, 0.5), (1.4, 1.4),
                                   (0.0294, 0.5614)])
 def test_phi_apply_without_eigen_data_matches_scipy(make, b, g):
@@ -463,6 +474,13 @@ def test_ergodic_injective_zero_limit():
     assert lim.converged_at_infinity and lim.converged_at_zero
 
 
+@pytest.mark.parametrize("handle", [DIAG14, OperatorHandle.dense([[1.0, 0.5], [0.0, 4.0]])],
+                         ids=["diagonal", "dense"])
+def test_ergodic_limits_rejects_negative_real_alpha(handle):
+    with pytest.raises(ValueError, match="Re alpha >= 0"):
+        ergodic_limits(handle, -0.5 + 0.2j, ONES2)
+
+
 def test_kernel_identity_under_powers():
     h = OperatorHandle.diagonal([0.0, 2.0])
     e_ker = np.array([1.0, 0.0], dtype=complex)
@@ -587,6 +605,139 @@ def test_evaluators_on_the_counted_handle_match_the_spectral_oracle():
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
     for lam_cut in (0.0, 1.3):
         assert reproducing_residual(h, 0.7, 2, lam_cut, _X8) <= 1e-8
+
+
+# ------------------------------------------------------ Schur coordinates ----
+
+def _eig_function(m, f):
+    """f(A) = V f(D) V^{-1} from the eigendecomposition A = V D V^{-1}: an
+    oracle made apart from the Schur factor."""
+    d, v = np.linalg.eig(m)
+    return v @ np.diag(f(d)) @ np.linalg.inv(v)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+_SCHUR_MAKERS = pytest.mark.parametrize("make", [_complex_pair, _rotated_upper6],
+                                        ids=["complex_pair", "rotated"])
+
+
+def _schur_case(make):
+    m = make()
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=len(m)) + 1j * rng.normal(size=len(m))
+    block = rng.normal(size=(3, len(m))) + 1j * rng.normal(size=(3, len(m)))
+    return m, OperatorHandle.dense(m), x, block
+
+
+# tolerances about ten times the errors measured on both matrices: the
+# Balakrishnan route at alpha = 0.7 is held by its 1e-9 tail tolerance
+@_SCHUR_MAKERS
+@pytest.mark.parametrize("alpha, rtol", [(0.7, 1e-8), (0.6 + 0.4j, 1e-11), (1.3, 2e-11)])
+def test_frac_power_in_schur_coordinates(make, alpha, rtol):
+    m, h, x, block = _schur_case(make)
+    power = _eig_function(m, lambda d: d ** alpha)
+    assert _rel(frac_power(h, alpha, x), power @ x) <= rtol
+    assert _rel(frac_power(h, alpha, block), block @ power.T) <= rtol
+
+
+@_SCHUR_MAKERS
+@pytest.mark.parametrize("companion", [False, True])
+def test_frac_resolvent_in_schur_coordinates(make, companion):
+    m, h, x, _ = _schur_case(make)
+    alpha, lam = 0.6, 1.7
+    kernel = (lambda d: d ** alpha / (lam + d ** alpha)) if companion else \
+        (lambda d: 1.0 / (lam + d ** alpha))
+    want = _eig_function(m, kernel) @ x
+    assert _rel(frac_resolvent(h, alpha, lam, x, companion=companion), want) <= 1e-10
+
+
+@_SCHUR_MAKERS
+def test_unified_reproducing_and_contour_routes_in_schur_coordinates(make):
+    m, h, x, block = _schur_case(make)
+    power = _eig_function(m, lambda d: d ** 0.4)
+    assert _rel(frac_power_unified(h, 0.4, 0.5, 1.0, x), power @ x) <= 1e-11
+    assert _rel(frac_power_unified(h, 0.4, 0.5, 1.0, block), block @ power.T) <= 1e-11
+    for lam_cut in (0.0, 1.3):
+        assert reproducing_residual(h, 0.7, 2, lam_cut, x) <= 3e-12
+    for z in (-0.6, 0.5 + 0.8j):
+        assert _rel(power_apply(h, z, x), _eig_function(m, lambda d: d ** z) @ x) <= 3e-14
+    phi = _eig_function(m, lambda d: d ** 0.6 * (2.0 + d) ** -1.3)
+    assert _rel(phi_apply(h, 0.6, 1.3, 2.0, block), block @ phi.T) <= 3e-14
+
+
+@_SCHUR_MAKERS
+def test_ergodic_limits_in_schur_coordinates(make):
+    # injective: t^a (t+A)^{-a} x -> x as t -> inf and -> 0 as t -> 0,
+    # A^a (t+A)^{-a} x -> x as t -> 0
+    _, h, x, _ = _schur_case(make)
+    lim = ergodic_limits(h, 0.7, x)
+    scale = np.linalg.norm(x)
+    assert lim.converged_at_infinity and lim.converged_at_zero
+    assert np.linalg.norm(lim.limit_at_infinity - x) <= 1e-14 * scale
+    assert np.linalg.norm(lim.limit_at_zero) <= 5e-13 * scale
+    assert np.linalg.norm(lim.range_component - x) <= 1e-14 * scale
+
+
+class _CountedUnitary(np.ndarray):
+    """A Schur factor Z whose products count: a product with conj(Z) (or
+    Z^H) as "to", a product with Z (or Z^T) as "from"."""
+
+    def __array_finalize__(self, obj):
+        self.calls = getattr(obj, "calls", None)
+        self.conjugated = getattr(obj, "conjugated", False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [i.view(np.ndarray) if isinstance(i, _CountedUnitary) else i for i in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            self.calls["to" if self.conjugated else "from"] += 1
+        elif ufunc is np.conjugate:
+            out = out.view(_CountedUnitary)
+            out.calls, out.conjugated = self.calls, not self.conjugated
+        return out
+
+
+def _counted_rotated():
+    """The rotated UPPER6 handle, its Schur vectors counting their products."""
+    m = _rotated_upper6()
+    z, t = OperatorHandle.dense(m)._schur()
+    counted = z.view(_CountedUnitary)
+    counted.calls = {"to": 0, "from": 0}
+    return OperatorHandle("dense", 6, matrix=m, schur=(counted, t)), counted.calls
+
+
+_X6 = np.random.default_rng(46).normal(size=6) + 0j
+_BLOCK6 = np.random.default_rng(47).normal(size=(3, 6)) + 0j
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda h: frac_power(h, 0.6, _X6),
+    lambda h: frac_power(h, 1.4 + 0.3j, _BLOCK6),
+    lambda h: frac_power_unified(h, 0.3, 0.5, 1.0, _X6),
+    lambda h: frac_resolvent(h, 0.5, 2.0, _X6),
+    lambda h: frac_resolvent(h, 0.5, 2.0, _X6, companion=True),
+    lambda h: reproducing_residual(h, 0.7, 2, 0.0, _X6),
+    lambda h: reproducing_residual(h, 0.7, 2, 1.3, _X6),
+    lambda h: power_apply(h, -0.6, _BLOCK6),
+    lambda h: ergodic_limits(h, 0.7, _X6),
+    lambda h: phi_apply(h, 0.6, 1.3, np.array([0.5, 2.0, 9.0]), _BLOCK6),
+], ids=["frac_power", "frac_power_block", "unified", "resolvent", "resolvent_companion",
+        "reproducing_full_line", "reproducing_cut", "power_apply", "ergodic_limits",
+        "phi_apply"])
+def test_one_schur_transform_each_way_per_evaluation(evaluate):
+    h, calls = _counted_rotated()
+    evaluate(h)
+    assert calls == {"to": 1, "from": 1}
+
+
+def test_the_counted_schur_factor_is_the_factor():
+    h, calls = _counted_rotated()
+    want = power_apply(OperatorHandle.dense(_rotated_upper6()), 0.6, _BLOCK6)
+    assert np.linalg.norm(power_apply(h, 0.6, _BLOCK6) - want) <= 1e-14 * np.linalg.norm(want)
+    assert calls == {"to": 1, "from": 1}
 
 
 _EIGS = np.geomspace(1e-2, 1e3, 7)

@@ -143,6 +143,21 @@ def test_l_compose_avoids_cancellation():
     assert np.allclose(out[0], expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("handle", [OperatorHandle.torus_laplacian(4),
+                                    OperatorHandle.diagonal([0.5, 1.0, 2.0, 4.0]),
+                                    OperatorHandle.dense([[1.0, 1.0, 0, 0], [0, 2.0, 0, 0],
+                                                          [0, 0, 3.0, 0.5], [0, 0, 0, 4.0]])],
+                         ids=["torus", "diagonal", "dense"])
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_l_compose_rejects_nonpositive_shifts(handle, lam):
+    rows = np.ones((1, 4), dtype=complex)
+    for method in (handle.l_compose_batch, handle.resolvent_batch):
+        with pytest.raises(ValueError, match="lam > 0"):
+            method(np.array([lam]), rows)
+        with pytest.raises(ValueError, match="rows must be"):
+            method(np.array([1.0, 2.0]), rows)
+
+
 def _upper_nonnormal():
     """6x6 upper-triangular with off-diagonal coupling far above the spectrum."""
     rng = _rng(21)
@@ -194,6 +209,37 @@ def test_singular_values_computed_once(monkeypatch):
     assert len(calls) == 1
     sv = svd(h.matrix(), compute_uv=False)
     assert (lo, hi) == (sv.min(), sv.max())
+
+
+def _rotated_nonnormal():
+    """_upper_nonnormal in a random complex unitary basis, so its Schur
+    vectors are far from the identity."""
+    rng = _rng(24)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    return q @ _upper_nonnormal() @ q.conj().T
+
+
+@pytest.mark.parametrize("make", [_rotated_nonnormal, _complex_pair_nonnormal])
+def test_triangular_handle_is_the_operator_in_schur_coordinates(make, monkeypatch):
+    h = OperatorHandle.dense(make())
+    z, t = h._schur()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    tri = h._triangular()
+    assert tri is h._triangular() and tri._triangular() is tri
+    assert tri.spectral is None and np.array_equal(tri.matrix(), t)
+    assert tri.scales() == h.scales() and tri.injective() == h.injective()
+    assert len(calls) == 1
+    lams = np.geomspace(1e-4, 1e4, 9)
+    rng = _rng(25)
+    rows = rng.normal(size=(len(lams), h.dim)) + 1j * rng.normal(size=(len(lams), h.dim))
+    want = h.resolvent_batch(lams, rows)
+    got = tri.resolvent_batch(lams, rows @ z.conj()) @ z.T
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = h.l_compose_batch(lams, rows)
+    got = tri.l_compose_batch(lams, rows @ z.conj()) @ z.T
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ------------------------------------------------------------ Schur factor ----
@@ -289,6 +335,26 @@ def test_shifted_takes_the_base_schur_factor(monkeypatch):
     assert len(calls) == 1
     assert zs is z and np.array_equal(ts, t + 0.7 * np.eye(5) + 0.2 * np.eye(5))
     _check_schur(shifted.matrix(), zs, ts)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_induced_two_norms_match_the_largest_singular_value(scale):
+    rng = _rng(26)
+    stack = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
+    stack[1] = 0.0
+    stack[2] = np.outer(rng.normal(size=6), rng.normal(size=6) + 1j)      # rank 1
+    stack[3] = stack[3] @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])         # rank 3
+    stack[4] = np.diag([1e-12, 1.0, 2.0, 3.0, 4.0, 5.0])
+    stack *= scale
+    w = np.geomspace(0.1, 10.0, 6)
+    weighted = (np.sqrt(w)[:, None] * stack) / np.sqrt(w)[None, :]
+    for norm, mats in ((EUCLIDEAN, stack), (NormKind("p", p=2), stack),
+                       (NormKind("weighted", weights=w), weighted)):
+        got = operators._induced_norms(stack, norm)
+        want = np.linalg.norm(mats, 2, axis=(-2, -1))
+        assert got.shape == (7,) and got[1] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert abs(operators._induced_norms(stack[0], norm) - want[0]) <= 1e-14 * want[0]
 
 
 # ----------------------------------------------------- derived structure ----
