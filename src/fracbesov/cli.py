@@ -109,6 +109,12 @@ def _int_value(raw, key: str, least: Optional[int] = None) -> int:
     return raw
 
 
+def _real_value(raw, key: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{key} must be a real number, got {raw!r}")
+    return float(raw)
+
+
 def _positive_value(raw, key: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 < raw < math.inf:
         raise ConfigError(f"{key} must be a positive finite number, got {raw!r}")
@@ -183,9 +189,9 @@ def parse_config(source: str) -> RunConfig:
             raise ConfigError(f"variant must be one of {_NORM_VARIANTS}")
         try:
             cfg.index = BesovIndex(
-                s=float(raw.get("s", 0.5)),
+                s=_real_value(raw.get("s", 0.5), "s"),
                 q=_q_value(raw.get("q", 2.0)),
-                k=int(raw.get("k", 0)),
+                k=_int_value(raw.get("k", 0), "k"),
                 alpha=_as_complex_cfg(raw.get("alpha", 0.0), "alpha"),
                 beta=_as_complex_cfg(raw.get("beta", 1.0), "beta"),
             )
@@ -193,7 +199,7 @@ def parse_config(source: str) -> RunConfig:
             raise ConfigError(f"index: {exc}") from exc
     elif command == "kfun":
         cfg.alpha = _as_complex_cfg(raw.get("alpha", 1.0), "alpha")
-        cfg.theta = float(raw.get("theta", 0.5))
+        cfg.theta = _real_value(raw.get("theta", 0.5), "theta")
         if not 0.0 < cfg.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
         cfg.q = _q_value(raw.get("q", 2.0))

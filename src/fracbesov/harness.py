@@ -84,6 +84,9 @@ class Sample:
     handle: OperatorHandle
     x: np.ndarray
     rng: np.random.Generator
+    # the reference oracles' level profiles and K-envelopes on (handle, x),
+    # filled by _RefBackend; dataclasses.replace starts a new sample empty
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
 
 def _make_operator(spec: EnsembleSpec, rng: np.random.Generator) -> OperatorHandle:
@@ -198,7 +201,9 @@ class _ProdBackend:
 
 
 class _RefBackend:
-    """Brute-force reference on eigen-coefficients (handles with eigen-data only)."""
+    """Brute-force reference on eigen-coefficients (handles with eigen-data
+    only). The oracles share their level profiles and K-envelopes across the
+    calls on one sample through the sample's own store."""
     name = "reference"
 
     @staticmethod
@@ -208,19 +213,19 @@ class _RefBackend:
 
     def inhom(self, s, idx) -> float:
         eigs, c = self._data(s)
-        return ref.inhom_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
+        return ref.inhom_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta, memo=s._memo)
 
     def sum_part(self, s, idx) -> float:
         eigs, c = self._data(s)
-        return ref.sum_part(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
+        return ref.sum_part(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta, memo=s._memo)
 
     def homog(self, s, idx) -> float:
         eigs, c = self._data(s)
-        return ref.homog_norm(eigs, c, idx.s, idx.q, idx.alpha, idx.beta)
+        return ref.homog_norm(eigs, c, idx.s, idx.q, idx.alpha, idx.beta, memo=s._memo)
 
     def breve(self, s, idx) -> float:
         eigs, c = self._data(s)
-        return ref.breve_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
+        return ref.breve_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta, memo=s._memo)
 
     def continuous(self, s, idx) -> float:
         eigs, c = self._data(s)
@@ -229,15 +234,16 @@ class _RefBackend:
 
     def semigroup_value(self, s, sm, q, k, beta) -> float:
         eigs, c = self._data(s)
-        return float(np.linalg.norm(c)) + ref.semigroup_sum_part(eigs, c, sm, q, k, beta)
+        return float(np.linalg.norm(c)) + \
+            ref.semigroup_sum_part(eigs, c, sm, q, k, beta, memo=s._memo)
 
     def semigroup_sum(self, s, sm, q, k, beta) -> float:
         eigs, c = self._data(s)
-        return ref.semigroup_sum_part(eigs, c, sm, q, k, beta)
+        return ref.semigroup_sum_part(eigs, c, sm, q, k, beta, memo=s._memo)
 
     def interp(self, s, alpha, theta, q) -> float:
         eigs, c = self._data(s)
-        return ref.interpolation_norm(eigs, c, alpha, theta, q)
+        return ref.interpolation_norm(eigs, c, alpha, theta, q, memo=s._memo)
 
     def apply_power(self, s, z) -> np.ndarray:
         sd = s.handle.spectral

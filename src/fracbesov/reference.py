@@ -15,6 +15,20 @@ underflow over the 500-level span.
 The interpolation oracle's mu-scan stays brute force over all its nodes:
 every node gives a line d_mu + t g_mu, and the minimum over the nodes at
 each t is read off the lower envelope of those lines.
+
+Shared work. The level log-profile log ||A^beta (2^j + A)^{-alpha-beta} x||
+depends only on (eigs, x, Re alpha, Re beta, j): s enters the blocks as the
+factor 2^{j(s + alpha)}, and q and k only choose how the levels are summed.
+The semigroup's profile depends on (eigs, x, Re beta, j), and the
+interpolation oracle's K-envelope K(t, x) on (eigs, x, Re alpha), not on
+theta or q. ``sum_part``, ``inhom_norm``, ``homog_norm``, ``breve_norm``,
+``semigroup_sum_part`` and ``interpolation_norm`` take an optional ``memo``:
+a dict that belongs to one (eigs, x) and that the caller passes with every
+call on that pair. The first call computes a profile or an envelope and
+keeps it there; later calls read it, and a profile grows by the levels a
+call needs and lacks. Every value equals the call without a memo bit for
+bit. Nothing is kept anywhere else: the store lives as long as its owner
+(in the harness, one calibration sample) and no longer.
 """
 
 from __future__ import annotations
@@ -36,21 +50,61 @@ def _log_terms(eigs, absx2, re_b):
 
 
 def _log_row_norms(terms):
-    """log sqrt(sum_i exp(terms_i)) per row: a log-sum-exp shifted by each
-    row's largest term."""
-    top = terms.max(axis=1)
+    """log sqrt(sum_i exp(terms_i)) per level, for terms laid out one
+    eigen-term per row and one level per column: a log-sum-exp shifted by
+    each level's largest term. The max is exact in any order, so it runs
+    along the contiguous axis; the sum runs over a level-major copy, in the
+    order of numpy's row sum of one level's terms."""
+    top = terms.max(axis=0)
     top = np.where(top > -np.inf, top, 0.0)
     with np.errstate(divide="ignore"):
-        return 0.5 * (top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+        return 0.5 * (top + np.log(np.exp(terms - top).T.copy().sum(axis=1)))
 
 
-def _blocks(eigs, absx2, s, re_a, re_b, js):
+def _shared(memo, key, compute):
+    """compute(), kept in and read from ``memo`` under ``key`` when a memo
+    is given."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _profile(memo, key, lo, hi, rows):
+    """_log_row_norms(rows(js)) for the levels js = lo, ..., hi - 1.
+
+    With a memo, ``memo[key]`` holds (first level, profile) over the union
+    of the ranges asked so far, and a call computes only the levels that
+    union lacks. Each level's value depends on that level's row alone, so a
+    slice equals the profile computed on the slice's own range."""
+    def levels(a, b):
+        return _log_row_norms(rows(np.arange(a, b)))
+
+    if memo is None:
+        return levels(lo, hi)
+    if key not in memo:
+        memo[key] = (lo, levels(lo, hi))
+    j0, prof = memo[key]
+    j1 = j0 + len(prof)
+    if lo < j0 or hi > j1:
+        parts = [levels(lo, j0)] if lo < j0 else []
+        parts += [prof] + ([levels(j1, hi)] if hi > j1 else [])
+        j0, prof = min(lo, j0), np.concatenate(parts)
+        memo[key] = (j0, prof)
+    return prof[lo - j0: hi - j0]
+
+
+def _blocks(eigs, absx2, s, re_a, re_b, lo, hi, memo):
     """Logs of the exact dyadic block magnitudes on a diagonal spectrum
-    (euclidean norm); -inf for a zero block."""
-    ju = np.asarray(js, dtype=float) * math.log(2.0)
-    base, log_e = _log_terms(eigs, absx2, re_b)
-    rows = base - 2 * (re_a + re_b) * np.logaddexp(ju[:, None], log_e)
-    return ju * (s + re_a) + _log_row_norms(rows)
+    (euclidean norm) at the levels lo, ..., hi - 1; -inf for a zero block."""
+    def rows(js):
+        base, log_e = _log_terms(eigs, absx2, re_b)
+        ju = js.astype(float) * math.log(2.0)
+        return base[:, None] - 2 * (re_a + re_b) * np.logaddexp(ju, log_e[:, None])
+
+    ju = np.arange(lo, hi, dtype=float) * math.log(2.0)
+    return ju * (s + re_a) + _profile(memo, ("blocks", re_a, re_b), lo, hi, rows)
 
 
 def _aggregate(log_terms, q, low=False, high=False):
@@ -75,12 +129,12 @@ def _aggregate(log_terms, q, low=False, high=False):
     return float(np.exp(total / q))
 
 
-def sum_part(eigs, x, s, q, k, alpha, beta) -> float:
+def sum_part(eigs, x, s, q, k, alpha, beta, *, memo=None) -> float:
     """Direct sum over j >= k until the terms are negligible."""
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(k, k + _J_SPAN))
+    b = _blocks(eigs, absx2, s, re_a, re_b, k, k + _J_SPAN, memo)
     return _aggregate(b, q, high=True)
 
 
@@ -91,23 +145,23 @@ def leading_term(eigs, x, k, alpha) -> float:
     return float(np.sqrt((absx2 * (2.0 ** k + eigs) ** (-2 * re_a)).sum()))
 
 
-def inhom_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0) -> float:
-    return leading_term(eigs, x, k, alpha) + sum_part(eigs, x, s, q, k, alpha, beta)
+def inhom_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0, *, memo=None) -> float:
+    return leading_term(eigs, x, k, alpha) + sum_part(eigs, x, s, q, k, alpha, beta, memo=memo)
 
 
-def homog_norm(eigs, x, s, q, alpha=0.0, beta=1.0) -> float:
+def homog_norm(eigs, x, s, q, alpha=0.0, beta=1.0, *, memo=None) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(-_J_SPAN, _J_SPAN))
+    b = _blocks(eigs, absx2, s, re_a, re_b, -_J_SPAN, _J_SPAN, memo)
     return _aggregate(b, q, low=True, high=True)
 
 
-def breve_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0) -> float:
+def breve_norm(eigs, x, s, q, k=0, alpha=0.0, beta=1.0, *, memo=None) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_a, re_b = complex(alpha).real, complex(beta).real
-    b = _blocks(eigs, absx2, s, re_a, re_b, np.arange(k - _J_SPAN, k + 1))
+    b = _blocks(eigs, absx2, s, re_a, re_b, k - _J_SPAN, k + 1, memo)
     lead = float(np.sqrt((absx2 * (eigs ** re_b * (2.0 ** k + eigs) ** (-re_b)) ** 2).sum()))
     return lead + _aggregate(b, q, low=True)
 
@@ -164,14 +218,18 @@ def continuous_sum_part(eigs, x, s, q, k, alpha, beta, du=2e-3) -> float:
     return float((np.trapezoid(g ** q, us) + remainder) ** (1.0 / q))
 
 
-def semigroup_sum_part(eigs, x, s, q, k, beta) -> float:
+def semigroup_sum_part(eigs, x, s, q, k, beta, *, memo=None) -> float:
     eigs = np.asarray(eigs, dtype=float)
     absx2 = np.abs(np.asarray(x)) ** 2
     re_b = complex(beta).real
+
+    def rows(js):
+        base, _ = _log_terms(eigs, absx2, re_b)
+        return base[:, None] - 2.0 * np.exp2(-js.astype(float)) * eigs[:, None]
+
     js = np.arange(k, k + _J_SPAN)
-    base, _ = _log_terms(eigs, absx2, re_b)
-    rows = base - 2.0 * np.exp2(-js.astype(float))[:, None] * eigs
-    terms = js * math.log(2.0) * (s - re_b) + _log_row_norms(rows)
+    terms = js * math.log(2.0) * (s - re_b) + \
+        _profile(memo, ("semigroup", re_b), k, k + _J_SPAN, rows)
     return _aggregate(terms, q, high=True)
 
 
@@ -215,21 +273,15 @@ def _lower_envelope_min(d, g, ts) -> np.ndarray:
     return (d[near] + ts * g[near]).min(axis=0)
 
 
-def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
-    """Brute t-grid x mu-scan interpolation quasi-norm with analytic tails.
-
-    The kernel part of x costs nothing in x1, so K(t, x) is K(t) of the rest.
-    K(t) = t ||A^alpha x|| up to t0 = ||A^alpha x|| / ||A^{2 alpha} x|| and
-    ||x|| from t_inf = ||A^{-alpha} x|| / ||x|| on, so both tails are closed
-    forms and the uniform ln t grid runs from kink to kink. On the grid K(t)
-    is the least of the trivial decompositions and d_mu + t g_mu over every
-    mu-node, taken on the lower envelope of those lines."""
+def _k_envelope(eigs, x, alpha, n_t, n_mu):
+    """(us, K(e^us, x), ||A^alpha x||, ||x||) on the oracle's ln t grid, with
+    the kernel part of x dropped; None when A^alpha x = 0."""
     sig = np.asarray(eigs, dtype=float) ** (2 * complex(alpha).real)
     keep = sig > 0
     absx2, sig = np.abs(np.asarray(x)[keep]) ** 2, sig[keep]
     cx = math.sqrt(float((absx2 * sig).sum()))
     if cx == 0.0:
-        return 0.0      # x0 = 0, x1 = x costs t ||A^alpha x|| = 0 at every t
+        return None
     nx = math.sqrt(float(absx2.sum()))
     us = np.linspace(math.log(cx) - 0.5 * math.log(float((absx2 * sig ** 2).sum())),
                      0.5 * math.log(float((absx2 / sig).sum())) - math.log(nx), n_t)
@@ -238,7 +290,23 @@ def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000) -> float:
     r = mus * sig[None, :]
     d = np.sqrt((absx2[None, :] * (r / (1.0 + r)) ** 2).sum(axis=1))
     g = np.sqrt((absx2[None, :] * sig[None, :] / (1.0 + r) ** 2).sum(axis=1))
-    ks = np.minimum(_lower_envelope_min(d, g, ts), np.minimum(nx, ts * cx))
+    return us, np.minimum(_lower_envelope_min(d, g, ts), np.minimum(nx, ts * cx)), cx, nx
+
+
+def interpolation_norm(eigs, x, alpha, theta, q, n_t=1000, n_mu=1000, *, memo=None) -> float:
+    """Brute t-grid x mu-scan interpolation quasi-norm with analytic tails.
+
+    The kernel part of x costs nothing in x1, so K(t, x) is K(t) of the rest.
+    K(t) = t ||A^alpha x|| up to t0 = ||A^alpha x|| / ||A^{2 alpha} x|| and
+    ||x|| from t_inf = ||A^{-alpha} x|| / ||x|| on, so both tails are closed
+    forms and the uniform ln t grid runs from kink to kink. On the grid K(t)
+    is the least of the trivial decompositions and d_mu + t g_mu over every
+    mu-node, taken on the lower envelope of those lines."""
+    env = _shared(memo, ("envelope", complex(alpha).real, n_t, n_mu),
+                  lambda: _k_envelope(eigs, x, alpha, n_t, n_mu))
+    if env is None:
+        return 0.0      # x0 = 0, x1 = x costs t ||A^alpha x|| = 0 at every t
+    us, ks, cx, nx = env
     prof = np.exp(-theta * us) * ks
     if math.isinf(q):
         return float(prof.max())

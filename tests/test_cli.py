@@ -110,6 +110,8 @@ _BASES = {
     "norm": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1]},
     "continuous": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1],
                    "variant": "continuous"},
+    "breve": {"command": "norm", "operator": "diagonal [1,4]", "vector": [1, 1],
+              "variant": "breve"},
     "verify": {"command": "verify", "suite": "embed_q"},
 }
 
@@ -137,6 +139,15 @@ _BASES = {
     ("continuous", {"tail_tolerance": math.nan}, "tail_tolerance"),
     ("continuous", {"tail_tolerance": True}, "tail_tolerance"),
     ("power", {"tail_tolerance": -1e-9}, "tail_tolerance"),
+    ("kfun", {"theta": "half"}, "theta"),
+    ("kfun", {"theta": None}, "theta"),
+    ("kfun", {"theta": True}, "theta"),
+    ("norm", {"s": [1]}, "s"),
+    ("norm", {"s": "0.5"}, "s"),
+    ("continuous", {"s": None}, "s"),
+    ("norm", {"k": 1.7}, "k"),
+    ("norm", {"k": "2"}, "k"),
+    ("breve", {"k": 2.0}, "k"),
 ])
 def test_invalid_value_exits_2_naming_its_key(base, extra, key, capsys):
     assert main(["--config", json.dumps({**_BASES[base], **extra})]) == 2

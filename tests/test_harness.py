@@ -122,6 +122,15 @@ def test_determinism_of_payloads():
     assert j1 != j3
 
 
+@pytest.mark.parametrize("check_id", ["k_independence", "homog_independence", "reiteration",
+                                      "interpolation", "homog_semigroup_norm"])
+def test_run_check_twice_in_one_process_gives_one_payload(check_id):
+    # the calibration's shared oracle values live on its samples, so nothing
+    # one run_check computes reaches the next
+    first = run_check(check_id, count_override=3).to_payload()
+    assert run_check(check_id, count_override=3).to_payload() == first
+
+
 def test_custom_ensemble_override():
     spec = EnsembleSpec("diag_loguniform", {"n": 4, "lam_min": 0.5, "lam_max": 2.0},
                         "gaussian", {}, 10)

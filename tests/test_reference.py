@@ -1,16 +1,20 @@
 """The brute-force interpolation oracle's lower-envelope scan against the
-dense lines x t-grid minimum it replaces, and the continuous oracle's q = 2
-closed form and cut q = inf scan against quadrature and the full scan."""
+dense lines x t-grid minimum it replaces, the continuous oracle's q = 2
+closed form and cut q = inf scan against quadrature and the full scan, and
+the oracles' shared profiles and K-envelopes against the calls without a
+store."""
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracbesov import reference as ref
-from fracbesov.harness import DEFAULT_SEED, _cal_diag, _REF, draw_samples
+from fracbesov.besov import BesovIndex
+from fracbesov.harness import CHECKS, DEFAULT_SEED, _cal_diag, _REF, draw_samples
 
 EPS = np.finfo(float).eps
 
@@ -165,3 +169,73 @@ def test_continuous_sum_part_cut_scan_is_the_full_scan():
                  * (eigs ** (2 * beta) * absx2)).sum(axis=1)
         full = float((np.exp(-us * gap) * np.sqrt(prof2)).max(initial=0.0))
         assert ref.continuous_sum_part(eigs, x, s, math.inf, k, alpha, beta) == full
+
+
+_SHARING = ("sum_part", "inhom_norm", "homog_norm", "breve_norm",
+            "semigroup_sum_part", "interpolation_norm")
+
+
+def test_shared_values_equal_the_fresh_oracle_on_every_calibration(monkeypatch):
+    # every value the reference backend returns from a sample's store is the
+    # module-level call without one, bit for bit, on the default-seed draws
+    # of all 16 ratio checks
+    calls, reused = Counter(), Counter()
+
+    def checked(name, fn):
+        def call(*args, memo=None, **kwargs):
+            had = bool(memo)
+            got = fn(*args, memo=memo, **kwargs)
+            assert got == fn(*args, **kwargs), (name, args)
+            calls[name] += 1
+            reused[name] += had
+            return got
+        return call
+
+    for name in _SHARING:
+        monkeypatch.setattr(ref, name, checked(name, getattr(ref, name)))
+    calibrated = [cid for cid, cd in CHECKS.items() if cd.calibration is not None]
+    assert len(calibrated) == 16
+    for cid in calibrated:
+        check_seed = (DEFAULT_SEED ^ zlib.crc32(cid.encode())) & 0x7FFFFFFF
+        CHECKS[cid].calibration(check_seed + 7919, CHECKS[cid].grid)
+    # breve_norm serves only the inverse_breve identity, which calibrates nothing
+    assert set(calls) == set(_SHARING) - {"breve_norm"}
+    # the stores are read, not only filled
+    assert set(reused) == set(calls) and all(reused.values())
+    assert sum(reused.values()) > sum(calls.values()) / 2
+
+
+def test_profile_store_grows_without_changing_a_level():
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 8, 13, 64):
+        eigs = np.exp(rng.uniform(-6.0, 6.0, n))
+        eigs[0] = 0.0 if n > 1 else eigs[0]
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        memo = {}
+        # fill, then grow left, right, over a gap, and read inside
+        for s, q, k in ((0.4, 2.0, 0), (0.1, 1.0, -3), (-0.2, 0.5, 4),
+                        (0.6, math.inf, 900), (0.3, 2.0, 1)):
+            for fn in (ref.sum_part, ref.breve_norm):
+                assert fn(eigs, x, s, q, k, 0.5, 1.2, memo=memo) == \
+                    fn(eigs, x, s, q, k, 0.5, 1.2), (n, fn, k)
+            assert ref.semigroup_sum_part(eigs, x, s, q, k, 1.2, memo=memo) == \
+                ref.semigroup_sum_part(eigs, x, s, q, k, 1.2)
+        assert ref.homog_norm(eigs, x, 0.3, 1.0, 0.5, 1.2, memo=memo) == \
+            ref.homog_norm(eigs, x, 0.3, 1.0, 0.5, 1.2)
+        lo, prof = memo[("blocks", 0.5, 1.2)]
+        # from breve_norm's lowest level at k = -3 to sum_part's highest at k = 900
+        assert lo == -3 - ref._J_SPAN and lo + len(prof) == 900 + ref._J_SPAN
+
+
+def test_a_replaced_sample_starts_with_an_empty_store():
+    # the lifting checks evaluate A^g x as replace(s, x=A^g x)
+    s = draw_samples(replace(_cal_diag(), seed=11))[0]
+    idx = BesovIndex(0.4, 2.0, 0, 0.5, 1.5)
+    first = _REF.inhom(s, idx)
+    assert s._memo
+    y = replace(s, x=_REF.apply_power(s, 0.3))
+    assert y._memo == {}
+    eigs, c = _REF._data(y)
+    got = _REF.inhom(y, idx)
+    assert got == ref.inhom_norm(eigs, c, idx.s, idx.q, idx.k, idx.alpha, idx.beta)
+    assert got != first
